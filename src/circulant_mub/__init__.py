@@ -57,7 +57,6 @@ from .gauss import (
     is_prime,
     smallest_nontrivial_divisor,
     verify_even_gauss,
-    verify_gauss_identity,
     verify_rotation_power_sums,
     verify_triangular_trace,
 )

@@ -8,9 +8,11 @@ Subcommands
     search   exhaustive bi-unimodular search over a root-of-unity alphabet
     sweep    the full battery (verify + gauss identities) over a range
 
-Reports are deterministic for a fixed configuration: records are sorted by
-(check, case) before emission, whatever the parallelism.  Exit codes:
-0 all checks passed, 1 at least one check failed, 2 usage error.
+_plan turns the arguments into checks, one per case: plain functions of the
+case and the tolerance base that return records.  _run times each check on up
+to --parallelism threads and sorts the records by (check, case), so reports
+are deterministic whatever the parallelism.  Exit codes: 0 all checks
+passed, 1 at least one check failed, 2 usage error.
 
 The --tol flag (or the MUB_DEFAULT_TOL environment variable) sets the
 tolerance base; matrix identity checks scale it by sqrt(d), scalar Gauss
@@ -29,11 +31,13 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .gauss import (
+    _shift_sums,
     gauss_identity_sweep,
     gauss_sum_direct,
     gauss_sum_reciprocity,
@@ -56,13 +60,14 @@ from .linalg import (
     build_triangular_diagonal,
     circulant_power,
     default_tolerance,
+    get_dense_cap,
     is_unitary_hadamard,
     multiply,
     power,
     rotation_scalar,
     set_dense_cap,
 )
-from .mub import Recipe, build_family, negative_check_even, verify_family
+from .mub import MubFamily, Recipe, build_family, negative_check_even, verify_family
 from .phase_ring import root_table
 from .sequences import canonical_form, exhaustive_biunimodular, gauss_sequence, is_biunimodular
 
@@ -115,7 +120,6 @@ class Record:
 
 @dataclass
 class RunConfig:
-    command: str
     tolerance_base: float
     parallelism: int
     dense_cap: int
@@ -260,22 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# record production
-
-
-def _timed(records: list[Record], started: float) -> list[Record]:
-    elapsed = time.perf_counter() - started
-    for record in records:
-        record.elapsed_s = elapsed
-    return records
-
-
-def _expected_family_size(d: int, recipe: Recipe) -> int:
-    if recipe in (Recipe.D_TWO, Recipe.EVEN):
-        return 3
-    if recipe is Recipe.PRIME:
-        return d + 1
-    return smallest_nontrivial_divisor(d) + 1
+# checks: each takes one case and the tolerance base and returns its records
 
 
 def _structural_records(d: int, base_tol: float) -> list[Record]:
@@ -314,7 +303,6 @@ def _structural_records(d: int, base_tol: float) -> list[Record]:
         dev = float(np.abs(power(rotation, d).entries - alpha**d * np.eye(d)).max())
         records.append(Record("rotation-order", {"d": d}, dev <= tol, dev, tol))
 
-        f2_mat = f2
         sample = sorted({1, 2, d - 2, d - 1} & set(range(1, d)))
         for k in sample:
             r_k = power(rotation, k).entries
@@ -325,7 +313,7 @@ def _structural_records(d: int, base_tol: float) -> list[Record]:
                 Record("rotation-power-clock", {"d": d, "k": k}, dev <= tol, dev, tol)
             )
             lhs = build_phased_fourier(d, k).entries
-            rhs = alpha**k * (adjoint(fourier).entries @ power(rotation, -k).entries @ f2_mat)
+            rhs = alpha**k * (adjoint(fourier).entries @ power(rotation, -k).entries @ f2)
             dev = float(np.abs(lhs - rhs).max())
             records.append(
                 Record("phased-fourier-identity", {"d": d, "k": k}, dev <= tol, dev, tol)
@@ -333,11 +321,16 @@ def _structural_records(d: int, base_tol: float) -> list[Record]:
     return records
 
 
-def _family_records(d: int, base_tol: float) -> list[Record]:
+def _family_records(family: MubFamily, base_tol: float) -> list[Record]:
+    d = family.dimension
     tol = default_tolerance(d, base_tol)
-    family = build_family(d)
     report = verify_family(family, tol)
-    expected = _expected_family_size(d, family.recipe)
+    if family.recipe in (Recipe.D_TWO, Recipe.EVEN):
+        expected = 3
+    elif family.recipe is Recipe.PRIME:
+        expected = d + 1
+    else:
+        expected = smallest_nontrivial_divisor(d) + 1
     records = [
         Record(
             "family-size",
@@ -401,242 +394,159 @@ def _negative_records(d: int, base_tol: float) -> list[Record]:
     ]
 
 
-def _verify_tasks(dims: range, base_tol: float) -> list:
-    if dims.start < 2:
-        raise UsageError(f"verification needs dimensions >= 2, got span starting at {dims.start}")
-
-    def make(d: int):
-        def task() -> list[Record]:
-            started = time.perf_counter()
-            records = _family_records(d, base_tol)
-            records.extend(_structural_records(d, base_tol))
-            if d % 2 and d >= 3 and not is_prime(d):
-                records.extend(_coprimality_records(d, base_tol))
-            if d % 2 == 0 and d >= 4:
-                records.extend(_negative_records(d, base_tol))
-            return _timed(records, started)
-
-        return task
-
-    return [make(d) for d in dims]
+def _verify_check(d: int, base_tol: float) -> list[Record]:
+    records = _family_records(build_family(d), base_tol)
+    records.extend(_structural_records(d, base_tol))
+    if d % 2 and d >= 3 and not is_prime(d):
+        records.extend(_coprimality_records(d, base_tol))
+    if d % 2 == 0 and d >= 4:
+        records.extend(_negative_records(d, base_tol))
+    return records
 
 
-def _gauss_identity_tasks(
-    dims: range, l_span: range | None, allow_noncoprime: bool, base_tol: float
-) -> list:
-    odd_dims = [d for d in dims if d % 2 and d >= 3]
-    if not odd_dims:
-        raise UsageError("identity mode needs at least one odd dimension >= 3 in --d")
-
-    def make(d: int):
-        multipliers = list(l_span) if l_span is not None else [
-            l for l in range(1, d) if math.gcd(l, d) == 1
-        ]
-
-        def task() -> list[Record]:
-            started = time.perf_counter()
-            records = []
-            for l in multipliers:
-                coprime = math.gcd(l, d) == 1
-                if not coprime and not allow_noncoprime:
-                    raise UsageError(
-                        f"l={l} is not coprime with d={d}; pass --allow-noncoprime to probe it"
-                    )
-                if coprime:
-                    dev = float(gauss_identity_sweep(d, l).max())
-                    records.append(
-                        Record(
-                            "gauss-identity",
-                            {"d": d, "l": l},
-                            dev <= base_tol,
-                            dev,
-                            base_tol,
-                            detail="max over all shifts j",
-                        )
-                    )
-                else:
-                    table = root_table(d)
-                    k = np.arange(d, dtype=np.int64)
-                    t = (l * k * (k + 1))[None, :] + 2 * np.outer(np.arange(d, dtype=np.int64), k)
-                    sums = np.abs(table.values[t % (2 * d)].sum(axis=1))
-                    records.append(
-                        Record(
-                            "gauss-identity-probe",
-                            {"d": d, "l": l},
-                            None,
-                            detail=(
-                                f"gcd={math.gcd(l, d)}; |sum| over shifts ranges "
-                                f"[{sums.min():.6f}, {sums.max():.6f}], sqrt(d)={math.sqrt(d):.6f}"
-                            ),
-                        )
-                    )
-            return _timed(records, started)
-
-        return task
-
-    return [make(d) for d in odd_dims]
+def _matrix_payload(label: str, matrix, d: int) -> dict:
+    entries = as_matrix(matrix)
+    moduli = np.abs(entries)
+    hadamard_scale = 1.0 / math.sqrt(d)
+    if np.abs(moduli - hadamard_scale).max() <= default_tolerance(d, 1e-12):
+        scale = hadamard_scale
+    else:
+        scale = 1.0
+    scaled = entries / scale
+    return {
+        "label": label,
+        "scale": scale,
+        "entries": [[[z.real, z.imag] for z in row] for row in scaled],
+    }
 
 
-def _gauss_reciprocity_tasks(a_span: range, d_span: range, b_span: range | None, base_tol: float) -> list:
-    if a_span.start < 1:
-        raise UsageError("reciprocity mode sweeps a >= 1")
-    if d_span.start < 1:
-        raise UsageError("reciprocity mode sweeps d >= 1")
-
-    def make(a: int, d: int):
-        def task() -> list[Record]:
-            started = time.perf_counter()
-            b_values = [
-                b
-                for b in (b_span if b_span is not None else range(-2 * d, 2 * d + 1))
-                if (a * d + b) % 2 == 0
-            ]
-            worst = 0.0
-            for b in b_values:
-                spec = GaussSumSpec(a, b, d)
-                direct = gauss_sum_direct(spec)
-                via = gauss_sum_reciprocity(spec)
-                worst = max(worst, abs(direct - via))
-            record = Record(
-                "reciprocity-consistency",
-                {"a": a, "d": d},
-                worst <= base_tol,
-                worst,
-                base_tol,
-                detail=f"{len(b_values)} parity-valid b values",
-            )
-            return _timed([record], started)
-
-        return task
-
-    return [make(a, d) for a in a_span for d in d_span]
+def _build_check(d: int, base_tol: float, payload: dict) -> list[Record]:
+    """The family records of dimension d; the serialized family goes into payload."""
+    family = build_family(d)
+    payload["family"] = {
+        "dimension": d,
+        "recipe": family.recipe.value,
+        "bases": [_matrix_payload(label, basis, d) for label, basis in family.bases],
+    }
+    return _family_records(family, base_tol)
 
 
-def _gauss_even_tasks(dims: range, base_tol: float) -> list:
-    even_dims = [d for d in dims if d % 2 == 0 and d >= 2]
-    if not even_dims:
-        raise UsageError("even mode needs at least one even dimension >= 2 in --d")
-
-    def make(d: int):
-        def task() -> list[Record]:
-            started = time.perf_counter()
-            dev = verify_even_gauss(d)
-            return _timed(
-                [Record("even-gauss-sum", {"d": d}, dev <= base_tol, dev, base_tol)], started
-            )
-
-        return task
-
-    return [make(d) for d in even_dims]
-
-
-def _gauss_trace_tasks(dims: range, k_span: range | None, base_tol: float) -> list:
-    odd_dims = [d for d in dims if d % 2 and d >= 3]
-    if not odd_dims:
-        raise UsageError("trace mode needs at least one odd dimension >= 3 in --d")
-
-    def make(d: int):
-        def task() -> list[Record]:
-            started = time.perf_counter()
-            ks = [
-                k
-                for k in (k_span if k_span is not None else range(1, d))
-                if math.gcd(k, d) == 1
-            ]
-            if not ks:
-                raise UsageError(f"no multiplier coprime with d={d} in --k")
-            worst = max(verify_triangular_trace(d, k) for k in ks)
-            record = Record(
-                "triangular-trace",
-                {"d": d},
-                worst <= base_tol,
-                worst,
-                base_tol,
-                detail=f"max over {len(ks)} coprime powers",
-            )
-            return _timed([record], started)
-
-        return task
-
-    return [make(d) for d in odd_dims]
-
-
-def _gauss_powersums_tasks(dims: range, k_span: range | None, m_span: range | None, base_tol: float) -> list:
-    primes = [d for d in dims if d % 2 and is_prime(d)]
-    if not primes:
-        raise UsageError("powersums mode needs at least one odd prime in --d")
-
-    def make(d: int):
-        def task() -> list[Record]:
-            started = time.perf_counter()
-            ks = list(k_span) if k_span is not None else list(range(1, d))
-            ms = list(m_span) if m_span is not None else list(range(-2, 3))
-            worst = 0.0
-            for k in ks:
-                for m in ms:
-                    dev_d, dev_k = verify_rotation_power_sums(d, k, m)
-                    worst = max(worst, dev_d, dev_k)
-            record = Record(
-                "rotation-power-sums",
-                {"d": d},
-                worst <= base_tol,
-                worst,
-                base_tol,
-                detail=f"{len(ks)} powers x {len(ms)} offsets, both moduli",
-            )
-            return _timed([record], started)
-
-        return task
-
-    return [make(d) for d in primes]
-
-
-def _seq_tasks(dims: range, k_span: range | None, base_tol: float) -> list:
-    odd_dims = [d for d in dims if d % 2 and d >= 3]
-    if not odd_dims:
-        raise UsageError("seq gauss needs at least one odd dimension >= 3 in --d")
-
-    def make(d: int):
-        def task() -> list[Record]:
-            started = time.perf_counter()
-            tol = default_tolerance(d, base_tol)
-            records = []
-            for k in k_span if k_span is not None else range(1, d):
-                report = is_biunimodular(gauss_sequence(d, k), tol)
-                expected = math.gcd(k, d) == 1
-                verdict = report.passed
-                if expected:
-                    detail = f"expected bi-unimodular (gcd=1), worst deviation {report.deviation:.3e}"
-                else:
-                    detail = (
-                        f"expected not bi-unimodular (gcd={math.gcd(k, d)}); "
-                        f"|dft| moduli range [{report.freq_moduli.min():.6f}, "
-                        f"{report.freq_moduli.max():.6f}]"
-                    )
-                records.append(
-                    Record(
-                        "gauss-sequence-biunimodular",
-                        {"d": d, "k": k},
-                        verdict == expected,
-                        report.deviation,
-                        tol,
-                        detail,
-                    )
+def _identity_check(d: int, multipliers: list[int], base_tol: float) -> list[Record]:
+    records = []
+    for l in multipliers:
+        if math.gcd(l, d) == 1:
+            dev = float(gauss_identity_sweep(d, l).max())
+            records.append(
+                Record(
+                    "gauss-identity",
+                    {"d": d, "l": l},
+                    dev <= base_tol,
+                    dev,
+                    base_tol,
+                    detail="max over all shifts j",
                 )
-            return _timed(records, started)
+            )
+        else:
+            sums = np.abs(_shift_sums(d, l))
+            records.append(
+                Record(
+                    "gauss-identity-probe",
+                    {"d": d, "l": l},
+                    None,
+                    detail=(
+                        f"gcd={math.gcd(l, d)}; |sum| over shifts ranges "
+                        f"[{sums.min():.6f}, {sums.max():.6f}], sqrt(d)={math.sqrt(d):.6f}"
+                    ),
+                )
+            )
+    return records
 
-        return task
 
-    return [make(d) for d in odd_dims]
+def _reciprocity_check(a: int, d: int, b_span: range | None, base_tol: float) -> list[Record]:
+    b_range = b_span if b_span is not None else range(-2 * d, 2 * d + 1)
+    b_values = [b for b in b_range if (a * d + b) % 2 == 0]
+    worst = 0.0
+    for b in b_values:
+        spec = GaussSumSpec(a, b, d)
+        direct = gauss_sum_direct(spec)
+        via = gauss_sum_reciprocity(spec)
+        worst = max(worst, abs(direct - via))
+    record = Record(
+        "reciprocity-consistency",
+        {"a": a, "d": d},
+        worst <= base_tol,
+        worst,
+        base_tol,
+        detail=f"{len(b_values)} parity-valid b values",
+    )
+    return [record]
+
+
+def _even_check(d: int, base_tol: float) -> list[Record]:
+    dev = verify_even_gauss(d)
+    return [Record("even-gauss-sum", {"d": d}, dev <= base_tol, dev, base_tol)]
+
+
+def _trace_check(d: int, ks: list[int], base_tol: float) -> list[Record]:
+    worst = max(verify_triangular_trace(d, k) for k in ks)
+    record = Record(
+        "triangular-trace",
+        {"d": d},
+        worst <= base_tol,
+        worst,
+        base_tol,
+        detail=f"max over {len(ks)} coprime powers",
+    )
+    return [record]
+
+
+def _powersums_check(
+    d: int, k_span: range | None, m_span: range | None, base_tol: float
+) -> list[Record]:
+    ks = list(k_span) if k_span is not None else list(range(1, d))
+    ms = list(m_span) if m_span is not None else list(range(-2, 3))
+    worst = max(max(verify_rotation_power_sums(d, k, m)) for k in ks for m in ms)
+    record = Record(
+        "rotation-power-sums",
+        {"d": d},
+        worst <= base_tol,
+        worst,
+        base_tol,
+        detail=f"{len(ks)} powers x {len(ms)} offsets, both moduli",
+    )
+    return [record]
+
+
+def _seq_check(d: int, k_span: range | None, base_tol: float) -> list[Record]:
+    tol = default_tolerance(d, base_tol)
+    records = []
+    for k in k_span if k_span is not None else range(1, d):
+        report = is_biunimodular(gauss_sequence(d, k), tol)
+        expected = math.gcd(k, d) == 1
+        if expected:
+            detail = f"expected bi-unimodular (gcd=1), worst deviation {report.deviation:.3e}"
+        else:
+            detail = (
+                f"expected not bi-unimodular (gcd={math.gcd(k, d)}); "
+                f"|dft| moduli range [{report.freq_moduli.min():.6f}, "
+                f"{report.freq_moduli.max():.6f}]"
+            )
+        records.append(
+            Record(
+                "gauss-sequence-biunimodular",
+                {"d": d, "k": k},
+                report.passed == expected,
+                report.deviation,
+                tol,
+                detail,
+            )
+        )
+    return records
 
 
 def _search_records(d: int, alphabet: int, base_tol: float) -> list[Record]:
-    started = time.perf_counter()
     tol = default_tolerance(d, base_tol)
-    try:
-        hits = exhaustive_biunimodular(d, alphabet, tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    hits = exhaustive_biunimodular(d, alphabet, tol)
     orbits: dict[tuple, list] = {}
     for hit in hits:
         orbits.setdefault(canonical_form(hit), []).append(hit)
@@ -665,7 +575,7 @@ def _search_records(d: int, alphabet: int, base_tol: float) -> list[Record]:
             f"out of {alphabet**d} candidates",
         )
     )
-    return _timed(records, started)
+    return records
 
 
 def _alphabet_exponents(key: tuple, alphabet: int) -> str | None:
@@ -681,70 +591,120 @@ def _alphabet_exponents(key: tuple, alphabet: int) -> str | None:
     return ",".join(exponents)
 
 
-def _run_tasks(tasks: list, parallelism: int) -> list[Record]:
-    if parallelism < 1:
-        raise UsageError(f"--parallelism must be >= 1, got {parallelism}")
-    if parallelism == 1 or len(tasks) <= 1:
-        groups = [task() for task in tasks]
+# ---------------------------------------------------------------------------
+# planning and running
+
+
+def _coprime(values, d: int) -> list[int]:
+    return [v for v in values if math.gcd(v, d) == 1]
+
+
+def _odd_dims(dims: range, what: str) -> list[int]:
+    odd_dims = [d for d in dims if d % 2 and d >= 3]
+    if not odd_dims:
+        raise UsageError(f"{what} needs at least one odd dimension >= 3 in --d")
+    return odd_dims
+
+
+def _plan(args, base_tol: float) -> tuple[list, dict | None]:
+    """Validate the arguments and turn them into zero-argument checks, plus
+    the document body a build check fills in (None for other commands)."""
+    payload = None
+    checks = []
+    if args.command == "build":
+        if args.dim < 2:
+            raise UsageError(f"--dim must be >= 2, got {args.dim}")
+        payload = {}
+        checks = [partial(_build_check, args.dim, base_tol, payload)]
+    elif args.command == "search":
+        checks = [partial(_search_records, args.dim, args.alphabet, base_tol)]
+    elif args.command == "seq":
+        dims = parse_span(args.d_span)
+        k_span = parse_span(args.k_span) if args.k_span else None
+        checks = [partial(_seq_check, d, k_span, base_tol) for d in _odd_dims(dims, "seq gauss")]
+    elif args.command in ("verify", "sweep"):
+        dims = parse_span(args.dims)
+        if args.command == "verify" and args.expect_negative == "r-squared" and not any(
+            d % 2 == 0 and d >= 4 for d in dims
+        ):
+            raise UsageError("--expect-negative r-squared needs an even dimension >= 4 in --dims")
+        if dims.start < 2:
+            raise UsageError(f"verification needs dimensions >= 2, got span starting at {dims.start}")
+        checks = [partial(_verify_check, d, base_tol) for d in dims]
+        if args.command == "sweep":
+            for d in dims:
+                if d % 2:
+                    coprime = _coprime(range(1, d), d)
+                    checks.append(partial(_identity_check, d, coprime, base_tol))
+                    checks.append(partial(_trace_check, d, coprime, base_tol))
+                else:
+                    checks.append(partial(_even_check, d, base_tol))
+    elif args.d_span is None:
+        raise UsageError("gauss requires --d")
     else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            groups = list(pool.map(lambda task: task(), tasks))
+        dims = parse_span(args.d_span)
+        l_span = parse_span(args.l_span) if args.l_span else None
+        k_span = parse_span(args.k_span) if args.k_span else None
+        m_span = parse_span(args.m_span) if args.m_span else None
+        if args.mode == "identity":
+            for d in _odd_dims(dims, "identity mode"):
+                multipliers = list(l_span) if l_span is not None else _coprime(range(1, d), d)
+                for l in multipliers:
+                    if math.gcd(l, d) != 1 and not args.allow_noncoprime:
+                        raise UsageError(
+                            f"l={l} is not coprime with d={d}; pass --allow-noncoprime to probe it"
+                        )
+                checks.append(partial(_identity_check, d, multipliers, base_tol))
+        elif args.mode == "reciprocity":
+            a_span = parse_span(args.a_span) if args.a_span else range(1, 21)
+            b_span = parse_span(args.b_span) if args.b_span else None
+            if a_span.start < 1:
+                raise UsageError("reciprocity mode sweeps a >= 1")
+            if dims.start < 1:
+                raise UsageError("reciprocity mode sweeps d >= 1")
+            checks = [partial(_reciprocity_check, a, d, b_span, base_tol) for a in a_span for d in dims]
+        elif args.mode == "even":
+            even_dims = [d for d in dims if d % 2 == 0 and d >= 2]
+            if not even_dims:
+                raise UsageError("even mode needs at least one even dimension >= 2 in --d")
+            checks = [partial(_even_check, d, base_tol) for d in even_dims]
+        elif args.mode == "trace":
+            for d in _odd_dims(dims, "trace mode"):
+                ks = _coprime(k_span if k_span is not None else range(1, d), d)
+                if not ks:
+                    raise UsageError(f"no multiplier coprime with d={d} in --k")
+                checks.append(partial(_trace_check, d, ks, base_tol))
+        else:
+            primes = [d for d in dims if d % 2 and is_prime(d)]
+            if not primes:
+                raise UsageError("powersums mode needs at least one odd prime in --d")
+            checks = [partial(_powersums_check, d, k_span, m_span, base_tol) for d in primes]
+    if args.parallelism < 1:
+        raise UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
+    return checks, payload
+
+
+def _run(checks: list, parallelism: int) -> list[Record]:
+    """Run the checks on at most `parallelism` threads; stamp every record
+    with the wall time of the check that produced it and sort by (check, case)."""
+
+    def timed(check) -> list[Record]:
+        started = time.perf_counter()
+        records = check()
+        elapsed = time.perf_counter() - started
+        for record in records:
+            record.elapsed_s = elapsed
+        return records
+
+    workers = min(parallelism, len(checks))
+    if workers <= 1:
+        groups = [timed(check) for check in checks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(timed, checks))
     records = [record for group in groups for record in group]
     records.sort(key=Record.sort_key)
     return records
-
-
-# ---------------------------------------------------------------------------
-# build serialization
-
-
-def _matrix_payload(label: str, matrix, d: int) -> dict:
-    entries = as_matrix(matrix)
-    moduli = np.abs(entries)
-    hadamard_scale = 1.0 / math.sqrt(d)
-    if np.abs(moduli - hadamard_scale).max() <= default_tolerance(d, 1e-12):
-        scale = hadamard_scale
-    else:
-        scale = 1.0
-    scaled = entries / scale
-    return {
-        "label": label,
-        "scale": scale,
-        "entries": [[[z.real, z.imag] for z in row] for row in scaled],
-    }
-
-
-def _build_payload(d: int, base_tol: float) -> tuple[list[Record], dict]:
-    started = time.perf_counter()
-    family = build_family(d)
-    tol = default_tolerance(d, base_tol)
-    report = verify_family(family, tol)
-    records = [
-        Record(
-            "family-size",
-            {"d": d},
-            len(family.bases) == _expected_family_size(d, family.recipe),
-            detail=f"recipe={family.recipe.value} bases={len(family.bases)}",
-        )
-    ]
-    for pair in report.pairs:
-        records.append(
-            Record(
-                "pair-unbiased",
-                {"d": d, "pair": f"{pair.label_a}|{pair.label_b}"},
-                pair.passed,
-                pair.deviation,
-                tol,
-            )
-        )
-    payload = {
-        "family": {
-            "dimension": d,
-            "recipe": family.recipe.value,
-            "bases": [_matrix_payload(label, basis, d) for label, basis in family.bases],
-        }
-    }
-    return _timed(records, started), payload
 
 
 # ---------------------------------------------------------------------------
@@ -824,79 +784,24 @@ def _emit(doc: ReportDocument, fmt: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def _dispatch(args, base_tol: float) -> tuple[list[Record], dict | None]:
-    set_dense_cap(args.dense_cap)
-    payload = None
-
-    if args.command == "build":
-        if args.dim < 2:
-            raise UsageError(f"--dim must be >= 2, got {args.dim}")
-        records, payload = _build_payload(args.dim, base_tol)
-    elif args.command == "verify":
-        dims = parse_span(args.dims)
-        if args.expect_negative == "r-squared" and not any(
-            d % 2 == 0 and d >= 4 for d in dims
-        ):
-            raise UsageError("--expect-negative r-squared needs an even dimension >= 4 in --dims")
-        records = _run_tasks(_verify_tasks(dims, base_tol), args.parallelism)
-    elif args.command == "gauss":
-        if args.d_span is None:
-            raise UsageError("gauss requires --d")
-        dims = parse_span(args.d_span)
-        l_span = parse_span(args.l_span) if args.l_span else None
-        k_span = parse_span(args.k_span) if args.k_span else None
-        m_span = parse_span(args.m_span) if args.m_span else None
-        if args.mode == "identity":
-            tasks = _gauss_identity_tasks(dims, l_span, args.allow_noncoprime, base_tol)
-        elif args.mode == "reciprocity":
-            a_span = parse_span(args.a_span) if args.a_span else range(1, 21)
-            b_span = parse_span(args.b_span) if args.b_span else None
-            tasks = _gauss_reciprocity_tasks(a_span, dims, b_span, base_tol)
-        elif args.mode == "even":
-            tasks = _gauss_even_tasks(dims, base_tol)
-        elif args.mode == "trace":
-            tasks = _gauss_trace_tasks(dims, k_span, base_tol)
-        else:
-            tasks = _gauss_powersums_tasks(dims, k_span, m_span, base_tol)
-        records = _run_tasks(tasks, args.parallelism)
-    elif args.command == "seq":
-        dims = parse_span(args.d_span)
-        k_span = parse_span(args.k_span) if args.k_span else None
-        records = _run_tasks(_seq_tasks(dims, k_span, base_tol), args.parallelism)
-    elif args.command == "search":
-        records = _search_records(args.dim, args.alphabet, base_tol)
-    elif args.command == "sweep":
-        dims = parse_span(args.dims)
-        tasks = _verify_tasks(dims, base_tol)
-        if any(d % 2 and d >= 3 for d in dims):
-            tasks.extend(_gauss_identity_tasks(dims, None, False, base_tol))
-            tasks.extend(_gauss_trace_tasks(dims, None, base_tol))
-        if any(d % 2 == 0 for d in dims):
-            tasks.extend(_gauss_even_tasks(dims, base_tol))
-        records = _run_tasks(tasks, args.parallelism)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise UsageError(f"unknown command {args.command!r}")
-    return records, payload
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    previous_cap = get_dense_cap()
     try:
         base_tol = _resolve_tol(args.tol)
-        records, payload = _dispatch(args, base_tol)
+        set_dense_cap(args.dense_cap)
+        checks, payload = _plan(args, base_tol)
+        records = _run(checks, args.parallelism)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        set_dense_cap(previous_cap)
     doc = ReportDocument(
         command=args.command,
         config=RunConfig(
-            command=args.command,
             tolerance_base=base_tol,
             parallelism=args.parallelism,
             dense_cap=args.dense_cap,
@@ -909,8 +814,7 @@ def main(argv: list[str] | None = None) -> int:
         payload=payload,
     )
     _emit(doc, args.fmt, args.output)
-    failed = any(record.passed is False for record in doc.records)
-    return EXIT_FAILURES if failed else EXIT_OK
+    return EXIT_FAILURES if doc.summary()["failed"] else EXIT_OK
 
 
 def _echo_params(args) -> dict:

@@ -170,28 +170,21 @@ def _check_odd_coprime(d: int, l: int, name: str = "l") -> None:
         raise ValueError(f"{name}={l} must be coprime with d={d}")
 
 
+def _shift_sums(d: int, l: int) -> np.ndarray:
+    """sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k)) for every shift j = 0 .. d-1.
+    l is reduced mod 2d first, so l*k*(k+1) cannot overflow int64."""
+    l %= 2 * d
+    table = root_table(d)
+    k = np.arange(d, dtype=np.int64)
+    t = (l * k * (k + 1))[None, :] + 2 * np.outer(k, k)
+    return table.values[t % (2 * d)].sum(axis=1)
+
+
 def gauss_identity_sweep(d: int, l: int) -> np.ndarray:
     """Deviations | |sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k))| - sqrt(d) |
     for every j = 0 .. d-1 at once.  Requires odd d and gcd(l, d) = 1."""
     _check_odd_coprime(d, l)
-    table = root_table(d)
-    k = np.arange(d, dtype=np.int64)
-    j = np.arange(d, dtype=np.int64)
-    t = (l * k * (k + 1))[None, :] + 2 * np.outer(j, k)
-    sums = table.values[t % (2 * d)].sum(axis=1)
-    return np.abs(np.abs(sums) - math.sqrt(d))
-
-
-def verify_gauss_identity(d: int, l: int, j: int) -> float:
-    """Single-point version of gauss_identity_sweep; 0 <= j < d."""
-    _check_odd_coprime(d, l)
-    if not 0 <= j < d:
-        raise ValueError(f"shift j must satisfy 0 <= j < d, got {j}")
-    table = root_table(d)
-    k = np.arange(d, dtype=np.int64)
-    t = (l * k * (k + 1) + 2 * j * k) % (2 * d)
-    total = table.values[t].sum()
-    return float(abs(abs(total) - math.sqrt(d)))
+    return np.abs(np.abs(_shift_sums(d, l)) - math.sqrt(d))
 
 
 def verify_triangular_trace(d: int, k: int) -> float:

@@ -224,7 +224,8 @@ def build_phased_fourier(d: int, k: int) -> DenseUnitary:
     _check_cap(d)
     table = root_table(d)
     j = np.arange(d, dtype=np.int64)
-    row_t = (-k * j * (j + 1))[:, None]
+    # reduced mod 2d first, so k*j*(j+1) cannot overflow int64
+    row_t = (-(k % (2 * d)) * j * (j + 1))[:, None]
     t = (2 * np.outer(j, j) + row_t) % (2 * d)
     entries = table.values[t] / math.sqrt(d)
     return DenseUnitary(d, _freeze(entries), label=f"P_{k}")

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from circulant_mub import build_family, get_dense_cap
+from circulant_mub import cli
 from circulant_mub.cli import (
     EXIT_FAILURES,
     EXIT_OK,
@@ -66,6 +68,16 @@ def test_build_document(capsys):
     assert doc["summary"]["total"] == 1 + 3
 
 
+def test_build_records_are_sorted_by_check_and_case(capsys):
+    code, doc = run_json(capsys, ["build", "--dim", "7"])
+    assert code == EXIT_OK
+    keys = [(r["check"], r["case"].get("pair", "")) for r in doc["records"]]
+    assert keys == sorted(keys)
+    assert keys[0] == ("family-size", "")
+    assert len(keys) == 1 + 8 * 7 // 2
+    assert doc["records"][0]["detail"] == "recipe=Prime bases=8 expected=8"
+
+
 def test_build_rejects_dimension_one(capsys):
     assert main(["build", "--dim", "1"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
@@ -95,16 +107,64 @@ def test_verify_span(capsys):
     assert all(r["passed"] for r in negatives)
 
 
-def test_verify_is_deterministic_and_parallel_safe(capsys):
-    _, first = run_json(capsys, ["verify", "--dims", "2..6"])
-    _, second = run_json(capsys, ["verify", "--dims", "2..6"])
-    _, threaded = run_json(capsys, ["verify", "--dims", "2..6", "--parallelism", "4"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--dims", "2..6"],
+        ["sweep", "--dims", "2..9"],
+        ["gauss", "identity", "--d", "3..15"],
+        ["gauss", "identity", "--d", "7..9", "--l", "1..4", "--allow-noncoprime"],
+        ["gauss", "reciprocity", "--a", "1..3", "--d", "1..6"],
+        ["gauss", "even", "--d", "2..12"],
+        ["gauss", "trace", "--d", "3..15"],
+        ["gauss", "powersums", "--d", "3..13"],
+        ["seq", "gauss", "--d", "3..11"],
+    ],
+    ids=[
+        "verify",
+        "sweep",
+        "gauss-identity",
+        "gauss-identity-probe",
+        "gauss-reciprocity",
+        "gauss-even",
+        "gauss-trace",
+        "gauss-powersums",
+        "seq-gauss",
+    ],
+)
+def test_verify_is_deterministic_and_parallel_safe(capsys, argv):
+    _, first = run_json(capsys, argv)
+    _, second = run_json(capsys, argv)
+    _, threaded = run_json(capsys, argv + ["--parallelism", "3"])
     assert strip_timing(first)["records"] == strip_timing(second)["records"]
-    threaded_doc = strip_timing(threaded)
-    threaded_doc["config"] = None
-    reference = strip_timing(first)
-    reference["config"] = None
-    assert threaded_doc["records"] == reference["records"]
+    assert strip_timing(threaded)["records"] == strip_timing(first)["records"]
+    assert threaded["summary"] == first["summary"]
+
+
+def test_runner_clamps_workers_to_the_number_of_checks(capsys, monkeypatch):
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+    code, doc = run_json(capsys, ["gauss", "even", "--d", "2..6", "--parallelism", "64"])
+    assert code == EXIT_OK
+    assert requested == [3]
+    assert [r["case"]["d"] for r in doc["records"]] == [2, 4, 6]
+    # a single check runs inline, without a pool
+    assert run_json(capsys, ["gauss", "even", "--d", "4", "--parallelism", "64"])[0] == EXIT_OK
+    assert requested == [3]
 
 
 def test_verify_rejects_dimensions_below_two(capsys):
@@ -125,6 +185,13 @@ def test_gauss_identity(capsys):
     assert all(r["check"] == "gauss-identity" for r in doc["records"])
     dims = {r["case"]["d"] for r in doc["records"]}
     assert dims == {3, 5, 7, 9, 11, 13, 15}
+
+
+def test_gauss_identity_huge_multiplier(capsys):
+    # 1 + 14 * 10**17 is 1 mod 14: the identity holds, with no int64 overflow
+    code, doc = run_json(capsys, ["gauss", "identity", "--d", "7", "--l", "1400000000000000001"])
+    assert code == EXIT_OK
+    assert doc["records"][0]["deviation"] < 1e-12
 
 
 def test_gauss_identity_noncoprime_multiplier(capsys):
@@ -248,8 +315,19 @@ def test_dense_cap_flag(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_dense_cap_is_restored_after_each_run(capsys):
+    before = get_dense_cap()
+    assert main(["verify", "--dims", "3", "--dense-cap", "8"]) == EXIT_OK
+    assert get_dense_cap() == before
+    assert build_family(11).dimension == 11
+    assert main(["build", "--dim", "20", "--dense-cap", "10"]) == EXIT_USAGE
+    assert get_dense_cap() == before
+
+
 def test_parallelism_validation(capsys):
     assert main(["verify", "--dims", "2", "--parallelism", "0"]) == EXIT_USAGE
+    assert main(["build", "--dim", "2", "--parallelism", "0"]) == EXIT_USAGE
+    assert main(["search", "--d", "2", "--alphabet", "2", "--parallelism", "0"]) == EXIT_USAGE
 
 
 def test_missing_required_arguments_exit_two(capsys):

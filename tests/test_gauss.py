@@ -12,7 +12,6 @@ from circulant_mub import (
     is_prime,
     smallest_nontrivial_divisor,
     verify_even_gauss,
-    verify_gauss_identity,
     verify_rotation_power_sums,
     verify_triangular_trace,
 )
@@ -108,21 +107,33 @@ def test_reciprocity_hypotheses_enforced():
         gauss_sum_reciprocity(GaussSumSpec(1, 0, 5))  # a*d + b odd
 
 
+def identity_oracle(d, l, j):
+    # | |sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k))| - sqrt(d) | term by term
+    total = sum(
+        cmath.exp(2j * cmath.pi * (l * k * (k + 1) / 2 + j * k) / d) for k in range(d)
+    )
+    return abs(abs(total) - math.sqrt(d))
+
+
 def test_identity_sweep_values():
     devs = gauss_identity_sweep(5, 2)
     assert devs.shape == (5,)
     assert devs.max() < 1e-12
     for j in range(5):
-        assert verify_gauss_identity(5, 2, j) == pytest.approx(devs[j], abs=1e-15)
+        assert devs[j] == pytest.approx(identity_oracle(5, 2, j), abs=1e-13)
 
 
 def test_identity_sweep_matches_cmath_oracle():
     d, l, j = 7, 3, 2
-    total = sum(
-        cmath.exp(2j * cmath.pi * (l * k * (k + 1) / 2 + j * k) / d) for k in range(d)
-    )
-    expected = abs(abs(total) - math.sqrt(d))
-    assert verify_gauss_identity(d, l, j) == pytest.approx(expected, abs=1e-13)
+    assert gauss_identity_sweep(d, l)[j] == pytest.approx(identity_oracle(d, l, j), abs=1e-13)
+
+
+def test_identity_sweep_reduces_huge_multipliers():
+    # l = 1 + 14 * 10**17 fits int64, but l*k*(k+1) does not: l must be
+    # reduced mod 2d before the exponent array is formed
+    l = 1 + 14 * 10**17
+    assert np.array_equal(gauss_identity_sweep(7, l), gauss_identity_sweep(7, 1))
+    assert gauss_identity_sweep(7, l).max() < 1e-12
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 15, 21, 25, 33])
@@ -138,8 +149,6 @@ def test_identity_sweep_rejects_bad_parameters():
         gauss_identity_sweep(6, 1)
     with pytest.raises(ValueError):
         gauss_identity_sweep(9, 3)
-    with pytest.raises(ValueError):
-        verify_gauss_identity(5, 2, 5)
 
 
 def test_triangular_trace_identity():

@@ -154,6 +154,12 @@ def test_phased_fourier_matches_definition():
         build_phased_fourier(4, 1)
 
 
+def test_phased_fourier_reduces_huge_powers():
+    # k*j*(j+1) overflows int64 unless k is reduced mod 2d first
+    huge = build_phased_fourier(7, 1 + 14 * 10**17).entries
+    assert np.array_equal(huge, build_phased_fourier(7, 1).entries)
+
+
 @pytest.mark.parametrize("d", [3, 5, 11])
 def test_phased_fourier_is_unitary_hadamard(d):
     for k in range(d):
