@@ -2,8 +2,6 @@
 transform, with exact phase bookkeeping and a verification CLI."""
 
 from .phase_ring import (
-    PhaseExponent,
-    RootTable,
     phase_of_omega,
     root_table,
     square_phase,

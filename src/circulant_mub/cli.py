@@ -269,8 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _structural_records(d: int, base_tol: float) -> list[Record]:
     tol = default_tolerance(d, base_tol)
-    table = root_table(d)
-    omega = complex(table.values[2 % (2 * d)])
+    omega = complex(root_table(d)[2 % (2 * d)])
     fourier = build_fourier(d)
     clock = build_clock(d).to_dense()
     shift = build_shift(d).to_dense()

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import build_triangular_diagonal
-from .phase_ring import _check_dimension, root_table
+from .phase_ring import _check_dimension, root_table, triangular_phase
 
 _DIRECT_CUTOFF = 64
 
@@ -79,9 +79,9 @@ def _direct(a: int, b: int, d: int) -> complex:
     if 2 * d * d * d < 2**62:
         j = np.arange(d, dtype=np.int64)
         t = (a_red * j * j + b_red * j) % (2 * d)
-        return complex(table.values[t].sum())
+        return complex(table[t].sum())
     # falls back to arbitrary-precision exponents for very large moduli
-    return complex(sum(table.values[(a_red * j * j + b_red * j) % (2 * d)] for j in range(d)))
+    return complex(sum(table[(a_red * j * j + b_red * j) % (2 * d)] for j in range(d)))
 
 
 def gauss_sum_direct(spec: GaussSumSpec) -> complex:
@@ -171,13 +171,10 @@ def _check_odd_coprime(d: int, l: int, name: str = "l") -> None:
 
 
 def _shift_sums(d: int, l: int) -> np.ndarray:
-    """sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k)) for every shift j = 0 .. d-1.
-    l is reduced mod 2d first, so l*k*(k+1) cannot overflow int64."""
-    l %= 2 * d
-    table = root_table(d)
+    """sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k)) for every shift j = 0 .. d-1."""
     k = np.arange(d, dtype=np.int64)
-    t = (l * k * (k + 1))[None, :] + 2 * np.outer(k, k)
-    return table.values[t % (2 * d)].sum(axis=1)
+    t = triangular_phase(k, l, d)[None, :] + 2 * np.outer(k, k)
+    return root_table(d)[t % (2 * d)].sum(axis=1)
 
 
 def gauss_identity_sweep(d: int, l: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Structured unitaries on C^d: Fourier, clock/shift pair, circulants.
 
-All named matrices here are built from integer phase exponents (see
-phase_ring) and materialized through one shared root table per dimension,
-so algebraically equal entries of different matrices are bit-identical
-floats.  Conventions:
+All named matrices here are built from integer exponent arrays reduced
+mod 2d (see phase_ring) and materialized by indexing one shared root table
+per dimension, so algebraically equal entries of different matrices are
+bit-identical floats.  Conventions:
 
     omega          = exp(2*i*pi/d)
     fourier F      : F[j,k] = d**-0.5 * omega**(j*k)
@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_ring import (
-    PhaseExponent,
-    RootTable,
-    _check_dimension,
-    root_table,
-    square_phase,
-    triangular_phase,
-)
+from .phase_ring import _check_dimension, root_table, square_phase, triangular_phase
 
 _dense_cap = 512
 
@@ -53,7 +46,7 @@ def _check_cap(d: int) -> None:
     if d > _dense_cap:
         raise ValueError(
             f"dimension {d} exceeds the dense materialization cap {_dense_cap}; "
-            "raise it with set_dense_cap if this is intentional"
+            "raise it with --dense-cap (or set_dense_cap) if this is intentional"
         )
 
 
@@ -99,25 +92,25 @@ class CirculantMatrix:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalUnitary:
-    """Diagonal of exact phases, materialized on demand."""
+    """Diagonal of exact phases exp(i*pi*t/d), stored as the int64 exponents
+    t reduced mod 2d and materialized on demand."""
 
     dimension: int
-    diagonal: tuple[PhaseExponent, ...]
+    exponents: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.exponents.setflags(write=False)
 
     def values(self) -> np.ndarray:
-        table = root_table(self.dimension)
-        t = np.array([p.t for p in self.diagonal])
-        return table.values[t]
+        return root_table(self.dimension)[self.exponents]
 
     def to_dense(self) -> np.ndarray:
         _check_cap(self.dimension)
         return np.diag(self.values())
 
     def power(self, n: int) -> "DiagonalUnitary":
-        return DiagonalUnitary(self.dimension, tuple(p.scaled(n) for p in self.diagonal))
-
-    def adjoint(self) -> "DiagonalUnitary":
-        return self.power(-1)
+        m = 2 * int(self.dimension)
+        return DiagonalUnitary(self.dimension, n % m * self.exponents % m)
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -149,10 +142,9 @@ def build_fourier(d: int) -> DenseUnitary:
     """F[j,k] = d**-0.5 * omega**(j*k)."""
     _check_dimension(d)
     _check_cap(d)
-    table = root_table(d)
     idx = np.arange(d, dtype=np.int64)
     t = (2 * np.outer(idx, idx)) % (2 * d)
-    entries = table.values[t] / math.sqrt(d)
+    entries = root_table(d)[t] / math.sqrt(d)
     return DenseUnitary(d, _freeze(entries), label="F")
 
 
@@ -161,7 +153,7 @@ def build_clock(d: int) -> DiagonalUnitary:
     _check_dimension(d)
     if d < 2:
         raise ValueError(f"clock matrix needs dimension >= 2, got {d}")
-    return DiagonalUnitary(d, tuple(PhaseExponent(2 * k, 2 * d) for k in range(d)))
+    return DiagonalUnitary(d, 2 * np.arange(d, dtype=np.int64))
 
 
 def build_shift(d: int) -> CirculantMatrix:
@@ -182,7 +174,7 @@ def build_triangular_diagonal(d: int) -> DiagonalUnitary:
     _check_dimension(d)
     if d % 2 == 0:
         raise ValueError(f"triangular diagonal requires odd dimension, got {d}")
-    return DiagonalUnitary(d, tuple(triangular_phase(k, 1, d) for k in range(d)))
+    return DiagonalUnitary(d, triangular_phase(np.arange(d, dtype=np.int64), 1, d))
 
 
 def build_square_diagonal(d: int) -> DiagonalUnitary:
@@ -190,13 +182,7 @@ def build_square_diagonal(d: int) -> DiagonalUnitary:
     _check_dimension(d)
     if d % 2:
         raise ValueError(f"square diagonal requires even dimension, got {d}")
-    return DiagonalUnitary(d, tuple(square_phase(k, d) for k in range(d)))
-
-
-def _circulant_from_phases(d: int, exponents: list[PhaseExponent]) -> np.ndarray:
-    table = root_table(d)
-    t = np.array([p.t for p in exponents])
-    return table.values[t] / math.sqrt(d)
+    return DiagonalUnitary(d, square_phase(np.arange(d, dtype=np.int64), d))
 
 
 def build_rotation(d: int) -> CirculantMatrix:
@@ -205,11 +191,9 @@ def build_rotation(d: int) -> CirculantMatrix:
     _check_dimension(d)
     if d < 2:
         raise ValueError(f"rotation matrix needs dimension >= 2, got {d}")
-    if d % 2:
-        exps = [triangular_phase(k, -1, d) for k in range(d)]
-    else:
-        exps = [square_phase(k, d) for k in range(d)]
-    return CirculantMatrix(d, _freeze(_circulant_from_phases(d, exps)), label="R")
+    k = np.arange(d, dtype=np.int64)
+    t = triangular_phase(k, -1, d) if d % 2 else square_phase(k, d)
+    return CirculantMatrix(d, _freeze(root_table(d)[t] / math.sqrt(d)), label="R")
 
 
 def build_phased_fourier(d: int, k: int) -> DenseUnitary:
@@ -222,12 +206,9 @@ def build_phased_fourier(d: int, k: int) -> DenseUnitary:
     if d % 2 == 0:
         raise ValueError(f"phased Fourier requires odd dimension, got {d}")
     _check_cap(d)
-    table = root_table(d)
     j = np.arange(d, dtype=np.int64)
-    # reduced mod 2d first, so k*j*(j+1) cannot overflow int64
-    row_t = (-(k % (2 * d)) * j * (j + 1))[:, None]
-    t = (2 * np.outer(j, j) + row_t) % (2 * d)
-    entries = table.values[t] / math.sqrt(d)
+    t = (2 * np.outer(j, j) + triangular_phase(j, -k, d)[:, None]) % (2 * d)
+    entries = root_table(d)[t] / math.sqrt(d)
     return DenseUnitary(d, _freeze(entries), label=f"P_{k}")
 
 
@@ -248,9 +229,8 @@ def rotation_scalar(d: int) -> complex:
     _check_dimension(d)
     if d % 2 == 0:
         raise ValueError(f"rotation scalar is defined for odd dimension, got {d}")
-    table = root_table(d)
-    t = np.array([triangular_phase(k, -1, d).t for k in range(d)])
-    return complex(table.values[t].sum() / math.sqrt(d))
+    t = triangular_phase(np.arange(d, dtype=np.int64), -1, d)
+    return complex(root_table(d)[t].sum() / math.sqrt(d))
 
 
 # ---------------------------------------------------------------------------

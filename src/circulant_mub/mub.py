@@ -94,8 +94,7 @@ def _dense(d: int, column_matrix: np.ndarray, label: str) -> DenseUnitary:
 
 
 def _d_two_bases() -> list[tuple[str, DenseUnitary]]:
-    table = root_table(2)
-    one, i = table.values[0], table.values[1]
+    one, i = root_table(2)[:2]
     y = np.array([[one, i], [i, one]]) / math.sqrt(2)
     return [
         ("I", _identity(2)),

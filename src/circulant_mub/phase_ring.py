@@ -1,19 +1,23 @@
 """Exact arithmetic for roots of unity.
 
 Every phase appearing in this package is an integer power of the primitive
-2d-th root of unity exp(i*pi/d).  We therefore represent a phase as an
-integer t modulo 2d, standing for exp(i*pi*t/d), and keep all phase algebra
-in the integers.  Complex numbers enter only at materialization time,
-through a per-dimension table of the 2d unit values.
+2d-th root of unity exp(i*pi/d).  A phase is therefore stored as its
+exponent t, an int (or an int64 array of them) reduced modulo 2d and
+standing for exp(i*pi*t/d), and all phase algebra stays in the integers.
+Complex numbers enter only at materialization time, by indexing the
+per-dimension table of the 2d unit values with the exponents.
 
 The convention ties the usual d-th root omega = exp(2*i*pi/d) to t = 2, and
 its square root exp(i*pi/d) to t = 1, so half-integer powers of omega (which
 show up for even dimensions) stay exact.
+
+Exponent arrays are int64, so each helper reduces its inputs mod 2d before
+multiplying them: every intermediate product then stays below (2d)**2 and
+cannot overflow for d up to 10**9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,45 +28,10 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
 
 
-@dataclass(frozen=True)
-class PhaseExponent:
-    """The phase exp(i*pi*t/d), stored as t modulo 2d (modulus = 2d)."""
-
-    t: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2 or self.modulus % 2:
-            raise ValueError(f"modulus must be an even integer >= 2, got {self.modulus}")
-        object.__setattr__(self, "t", int(self.t) % self.modulus)
-
-    def __add__(self, other: "PhaseExponent") -> "PhaseExponent":
-        if self.modulus != other.modulus:
-            raise ValueError("cannot combine phases with different moduli")
-        return PhaseExponent(self.t + other.t, self.modulus)
-
-    def __sub__(self, other: "PhaseExponent") -> "PhaseExponent":
-        return self + (-other)
-
-    def __neg__(self) -> "PhaseExponent":
-        return PhaseExponent(-self.t, self.modulus)
-
-    def scaled(self, n: int) -> "PhaseExponent":
-        """The n-th power: exp(i*pi*t/d) ** n."""
-        return PhaseExponent(n * self.t, self.modulus)
-
-
-@dataclass(frozen=True, eq=False)
-class RootTable:
-    """All 2d values exp(i*pi*t/d) for t = 0 .. 2d-1, fixed dimension d."""
-
-    dimension: int
-    values: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def root_table(d: int) -> RootTable:
-    """Unit-circle lookup table for dimension d, computed once and shared.
+def root_table(d: int) -> np.ndarray:
+    """Read-only array of all 2d values exp(i*pi*t/d), t = 0 .. 2d-1,
+    computed once per dimension and shared.
 
     Entries on the axes (t = 0, d/2, d, 3d/2) are set to 1, i, -1, -i
     exactly, and the second half of the circle is the complex conjugate of
@@ -78,37 +47,39 @@ def root_table(d: int) -> RootTable:
     values[: d + 1] = half
     values[d + 1 :] = np.conj(half[1:d][::-1])
     values.setflags(write=False)
-    return RootTable(dimension=d, values=values)
+    return values
 
 
-def phase_of_omega(power: int, d: int) -> PhaseExponent:
+def phase_of_omega(power: int, d: int) -> int:
     """Exponent of omega**power where omega = exp(2*i*pi/d)."""
     _check_dimension(d)
-    return PhaseExponent(2 * power, 2 * d)
+    return 2 * power % (2 * int(d))
 
 
-def triangular_phase(j: int, l: int, d: int) -> PhaseExponent:
-    """Exponent of omega**(l*j*(j+1)/2) = exp(i*pi*l*j*(j+1)/d).
+def triangular_phase(j, l: int, d: int):
+    """Exponent of omega**(l*j*(j+1)/2) = exp(i*pi*l*j*(j+1)/d), for an int
+    or an int array j.
 
     The triangular number j*(j+1)/2 never needs a division here: the phase
     is exp(i*pi * l*j*(j+1) / d), an integer point on the 2d-grid.
     """
     _check_dimension(d)
-    return PhaseExponent(l * j * (j + 1), 2 * d)
+    m = 2 * int(d)
+    j = j % m
+    return j * (j + 1) % m * (l % m) % m
 
 
-def square_phase(j: int, d: int) -> PhaseExponent:
-    """Exponent of omega**(-j**2/2) = exp(-i*pi*j*j/d), for even d only."""
+def square_phase(j, d: int):
+    """Exponent of omega**(-j**2/2) = exp(-i*pi*j*j/d), for even d only and
+    an int or an int array j."""
     _check_dimension(d)
     if d % 2:
         raise ValueError(f"square_phase requires an even dimension, got {d}")
-    return PhaseExponent(-j * j, 2 * d)
+    m = 2 * int(d)
+    j = j % m
+    return -(j * j) % m
 
 
-def to_complex(p: PhaseExponent, table: RootTable) -> complex:
-    """Materialize a phase through the table of its dimension."""
-    if p.modulus != 2 * table.dimension:
-        raise ValueError(
-            f"phase modulus {p.modulus} does not match table dimension {table.dimension}"
-        )
-    return complex(table.values[p.t])
+def to_complex(t: int, d: int) -> complex:
+    """Materialize the phase exp(i*pi*t/d) through the table of dimension d."""
+    return complex(root_table(d)[t % (2 * int(d))])

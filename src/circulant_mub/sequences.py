@@ -94,9 +94,7 @@ def gauss_sequence(d: int, k: int) -> Sequence:
     _check_dimension(d)
     if d % 2 == 0 or d < 3:
         raise ValueError(f"Gauss sequences need an odd dimension >= 3, got {d}")
-    table = root_table(d)
-    t = np.array([triangular_phase(j, k, d).t for j in range(d)])
-    values = table.values[t]
+    values = root_table(d)[triangular_phase(np.arange(d, dtype=np.int64), k, d)]
     values.setflags(write=False)
     return Sequence(d, values)
 

@@ -313,6 +313,9 @@ def test_tolerance_flag_and_environment(capsys, monkeypatch):
 def test_dense_cap_flag(capsys):
     assert main(["build", "--dim", "20", "--dense-cap", "10"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+    # the message names the flag a CLI user can pass, not only the API call
+    assert main(["verify", "--dims", "7", "--dense-cap", "5"]) == EXIT_USAGE
+    assert "--dense-cap" in capsys.readouterr().err
 
 
 def test_dense_cap_is_restored_after_each_run(capsys):

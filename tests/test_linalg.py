@@ -21,6 +21,7 @@ from circulant_mub import (
     circulant_power,
     default_tolerance,
     diagonalize_circulant,
+    gauss_sequence,
     get_dense_cap,
     is_unitary,
     is_unitary_hadamard,
@@ -114,6 +115,32 @@ def test_square_diagonal_values():
     assert abs(d4[3] - cmath.exp(-1j * cmath.pi / 4)) < 1e-15
     with pytest.raises(ValueError):
         build_square_diagonal(5)
+
+
+def gather(d, exponents):
+    # exponents computed with Python ints, so no int64 arithmetic is involved
+    return root_table(d)[np.array([t % (2 * d) for t in exponents], dtype=np.int64)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 31])
+def test_builders_gather_exact_exponents(d):
+    # no tolerance: each builder must index the shared table at the exact
+    # exponent, so its floats are bit-identical to a gather of Python ints
+    ks = range(d)
+    if d % 2:
+        rotation = [-k * (k + 1) for k in ks]
+    else:
+        rotation = [-k * k for k in ks]
+    assert np.array_equal(build_rotation(d).first_column, gather(d, rotation) / math.sqrt(d))
+    assert np.array_equal(build_clock(d).values(), gather(d, [2 * k for k in ks]))
+    if d % 2 == 0:
+        return
+    for n in (-3, 1, 2, 10**20 + 1):
+        triangular = gather(d, [n * k * (k + 1) for k in ks])
+        assert np.array_equal(build_triangular_diagonal(d).power(n).values(), triangular)
+        assert np.array_equal(gauss_sequence(d, n).values, triangular)
+    alpha = complex(gather(d, [-k * (k + 1) for k in ks]).sum() / math.sqrt(d))
+    assert rotation_scalar(d) == alpha
 
 
 def test_rotation_first_columns():

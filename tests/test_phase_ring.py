@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from circulant_mub import (
-    PhaseExponent,
     phase_of_omega,
     root_table,
     square_phase,
@@ -14,31 +13,31 @@ from circulant_mub import (
 
 
 def test_phase_of_omega_examples():
-    assert phase_of_omega(0, 5).t == 0
-    assert phase_of_omega(5, 5).t == 0  # omega**d wraps to 1
-    p = phase_of_omega(3, 5)
-    assert (p.t, p.modulus) == (6, 10)
-    assert to_complex(p, root_table(5)) == pytest.approx(cmath.exp(2j * cmath.pi * 3 / 5), abs=1e-15)
+    assert phase_of_omega(0, 5) == 0
+    assert phase_of_omega(5, 5) == 0  # omega**d wraps to 1
+    assert phase_of_omega(-2, 5) == 6  # exponents are reduced into 0 .. 2d-1
+    t = phase_of_omega(3, 5)
+    assert t == 6
+    assert to_complex(t, 5) == pytest.approx(cmath.exp(2j * cmath.pi * 3 / 5), abs=1e-15)
 
 
 def test_triangular_phase_examples():
-    assert triangular_phase(0, 1, 7).t == 0
-    assert triangular_phase(2, 1, 3).t == 0  # 1*2*3 = 6 wraps mod 6
-    p = triangular_phase(1, 2, 5)
-    assert (p.t, p.modulus) == (4, 10)
+    assert triangular_phase(0, 1, 7) == 0
+    assert triangular_phase(2, 1, 3) == 0  # 1*2*3 = 6 wraps mod 6
+    assert triangular_phase(1, 2, 5) == 4
 
 
 def test_square_phase_examples():
-    assert square_phase(0, 4).t == 0
-    assert square_phase(1, 4).t == 7  # -1 mod 8
-    assert square_phase(2, 6).t == 8  # -4 mod 12
+    assert square_phase(0, 4) == 0
+    assert square_phase(1, 4) == 7  # -1 mod 8
+    assert square_phase(2, 6) == 8  # -4 mod 12
     with pytest.raises(ValueError):
         square_phase(1, 5)
 
 
 def test_axis_entries_are_exact():
     for d in (1, 2, 3, 4, 6, 10):
-        values = root_table(d).values
+        values = root_table(d)
         assert values[0] == 1.0
         assert values[d] == -1.0
         if d % 2 == 0:
@@ -48,14 +47,14 @@ def test_axis_entries_are_exact():
 
 def test_table_matches_direct_exponentials():
     for d in (1, 2, 3, 5, 8, 17, 100):
-        values = root_table(d).values
+        values = root_table(d)
         for t in range(2 * d):
             assert abs(values[t] - cmath.exp(1j * cmath.pi * t / d)) < 1e-14
 
 
 def test_unit_modulus_and_conjugation_symmetry():
     for d in (2, 3, 7, 24, 97):
-        v = root_table(d).values
+        v = root_table(d)
         assert np.abs(np.abs(v) - 1.0).max() <= 3e-16
         # v[t] * v[2d-t] multiplies conjugate pairs, so it returns to 1
         assert np.abs(v[1:] * v[:0:-1] - 1.0).max() <= 5e-16
@@ -65,21 +64,10 @@ def test_products_of_phases_match_added_exponents():
     # exhaustive over all exponent pairs: the table is consistent with
     # itself to a few ulp under multiplication
     for d in (2, 3, 5, 12, 31):
-        v = root_table(d).values
+        v = root_table(d)
         products = v[:, None] * v[None, :]
         wrapped = (np.arange(2 * d)[:, None] + np.arange(2 * d)[None, :]) % (2 * d)
         assert np.abs(products - v[wrapped]).max() <= 2e-15
-
-
-def test_phase_exponent_arithmetic():
-    a = PhaseExponent(7, 10)
-    b = PhaseExponent(5, 10)
-    assert (a + b).t == 2
-    assert (a - b).t == 2
-    assert (-a).t == 3
-    assert a.scaled(3).t == 1
-    with pytest.raises(ValueError):
-        a + PhaseExponent(1, 6)
 
 
 def test_triangular_phase_is_even_for_odd_d():
@@ -87,18 +75,13 @@ def test_triangular_phase_is_even_for_odd_d():
     for d in (3, 5, 9, 15):
         for l in (-3, 1, 2, d):
             for j in range(2 * d + 2):
-                assert triangular_phase(j, l, d).t % 2 == 0
+                assert triangular_phase(j, l, d) % 2 == 0
 
 
 def test_triangular_phase_d_periodicity_for_odd_d():
     for d in (3, 7, 15):
         for j in range(d):
             assert triangular_phase(j + d, 1, d) == triangular_phase(j, 1, d)
-
-
-def test_modulus_mismatch_rejected():
-    with pytest.raises(ValueError):
-        to_complex(PhaseExponent(1, 4), root_table(3))
 
 
 def test_bad_dimension_rejected():

@@ -1,0 +1,95 @@
+"""Property tests: the int64 exponent arithmetic against Python-int formulas,
+and reciprocity against the direct Gauss sum on random parameters."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circulant_mub import (
+    GaussSumSpec,
+    build_triangular_diagonal,
+    gauss_sum_direct,
+    gauss_sum_reciprocity,
+    square_phase,
+    triangular_phase,
+)
+
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=100)
+HUGE = 10**30
+
+
+def indices(d):
+    # every residue class twice over, negative indices included
+    return np.arange(-2 * d, 2 * d, dtype=np.int64)
+
+
+@PROPERTY
+@given(d=st.integers(1, 500), l=st.integers(-HUGE, HUGE))
+def test_vectorized_triangular_phase_matches_python_ints(d, l):
+    j = indices(d)
+    expected = [l * int(x) * (int(x) + 1) % (2 * d) for x in j]
+    assert triangular_phase(j, l, d).tolist() == expected
+
+
+@PROPERTY
+@given(half=st.integers(1, 250))
+def test_vectorized_square_phase_matches_python_ints(half):
+    d = 2 * half
+    j = indices(d)
+    assert square_phase(j, d).tolist() == [-int(x) * int(x) % (2 * d) for x in j]
+
+
+@PROPERTY
+@given(
+    d=st.integers(1, 10**9),
+    offset=st.integers(1, 4),
+    l=st.integers(-HUGE, HUGE),
+)
+def test_scalar_phase_near_the_modulus_does_not_overflow(d, offset, l):
+    # j close to 2d makes j*(j+1) close to (2d)**2: multiplying by l before
+    # reducing would wrap int64 for d near 10**9
+    j = 2 * d - offset
+    expected = l * j * (j + 1) % (2 * d)
+    assert triangular_phase(j, l, d) == expected
+    assert triangular_phase(np.array([j], dtype=np.int64), l, d)[0] == expected
+    assert triangular_phase(np.int64(j), l, d) == expected
+
+
+@PROPERTY
+@given(half=st.integers(1, 100), n=st.integers(-HUGE, HUGE))
+def test_diagonal_power_depends_on_n_mod_2d(half, n):
+    d = 2 * half + 1
+    diag = build_triangular_diagonal(d)
+    huge, reduced = diag.power(n), diag.power(n % (2 * d))
+    assert np.array_equal(huge.exponents, reduced.exponents)
+    assert np.array_equal(huge.values(), reduced.values())
+
+
+def parity_valid(a, b, d):
+    # reciprocity needs a*d + b even
+    return a, b + (a * d + b) % 2, d
+
+
+nonzero = st.integers(1, 300) | st.integers(-300, -1)
+
+
+@PROPERTY
+@given(a=nonzero, b=st.integers(-HUGE, HUGE), d=st.integers(1, 300))
+def test_single_step_reciprocity_matches_direct(a, b, d):
+    spec = GaussSumSpec(*parity_valid(a, b, d))
+    direct = gauss_sum_direct(spec)
+    assert abs(gauss_sum_reciprocity(spec) - direct) < 1e-10 * math.sqrt(d)
+
+
+@PROPERTY
+@given(
+    a=st.integers(1, HUGE) | st.integers(-HUGE, -1),
+    b=st.integers(-HUGE, HUGE),
+    d=st.integers(1, 3000),
+)
+def test_recursive_reciprocity_matches_direct(a, b, d):
+    spec = GaussSumSpec(*parity_valid(a, b, d))
+    direct = gauss_sum_direct(spec)
+    assert abs(gauss_sum_reciprocity(spec, recursive=True) - direct) < 1e-10 * math.sqrt(d)
