@@ -62,11 +62,9 @@ from .mub import (
     EvenSquareCheck,
     MubFamily,
     PairCheck,
-    PairStructureCheck,
     Recipe,
     UnbiasednessReport,
     build_family,
-    check_pair_product_structure,
     negative_check_even,
     verify_family,
 )

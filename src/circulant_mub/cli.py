@@ -11,7 +11,10 @@ Subcommands
 _plan turns the arguments into checks, one per case: plain functions of the
 case and the tolerance base that return records.  _run times each check on up
 to --parallelism threads and sorts the records by (check, case), so reports
-are deterministic whatever the parallelism.  Exit codes: 0 all checks
+are deterministic whatever the parallelism.  main() then puts the report
+together once, as one plain mub-report/1 dict (config, records, summary and,
+for build, the family with its matrices kept as complex arrays), and the
+json, text and csv renderers all read that dict.  Exit codes: 0 all checks
 passed, 1 at least one check failed, 2 usage error.
 
 The --tol flag (or the MUB_DEFAULT_TOL environment variable) sets the
@@ -30,7 +33,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -118,58 +121,13 @@ class Record:
         }
 
 
-@dataclass
-class RunConfig:
-    tolerance_base: float
-    parallelism: int
-    dense_cap: int
-    fmt: str
-    output: str | None
-    params: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "tolerance_base": self.tolerance_base,
-            "parallelism": self.parallelism,
-            "dense_cap": self.dense_cap,
-            "format": self.fmt,
-            "output": self.output,
-            **self.params,
-        }
-
-
-@dataclass
-class ReportDocument:
-    command: str
-    config: RunConfig
-    records: list[Record]
-    elapsed_s: float
-    payload: dict | None = None  # extra document body (build serializations)
-
-    def summary(self) -> dict:
-        passed = sum(1 for r in self.records if r.passed is True)
-        failed = sum(1 for r in self.records if r.passed is False)
-        info = sum(1 for r in self.records if r.passed is None)
-        return {
-            "total": len(self.records),
-            "passed": passed,
-            "failed": failed,
-            "informational": info,
-        }
-
-    def to_json(self) -> dict:
-        doc = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "command": self.command,
-            "config": self.config.to_json(),
-            "records": [r.to_json() for r in self.records],
-            "summary": self.summary(),
-            "elapsed_s": round(self.elapsed_s, 6),
-        }
-        if self.payload is not None:
-            doc.update(self.payload)
-        return doc
+def _summary(records: list[Record]) -> dict:
+    return {
+        "total": len(records),
+        "passed": sum(1 for r in records if r.passed is True),
+        "failed": sum(1 for r in records if r.passed is False),
+        "informational": sum(1 for r in records if r.passed is None),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +369,7 @@ def _matrix_payload(label: str, matrix, d: int) -> dict:
         scale = hadamard_scale
     else:
         scale = 1.0
-    scaled = entries / scale
-    return {
-        "label": label,
-        "scale": scale,
-        "entries": [[[z.real, z.imag] for z in row] for row in scaled],
-    }
+    return {"label": label, "scale": scale, "entries": entries / scale}
 
 
 def _build_check(d: int, base_tol: float, payload: dict) -> list[Record]:
@@ -605,15 +558,14 @@ def _odd_dims(dims: range, what: str) -> list[int]:
     return odd_dims
 
 
-def _plan(args, base_tol: float) -> tuple[list, dict | None]:
+def _plan(args, base_tol: float) -> tuple[list, dict]:
     """Validate the arguments and turn them into zero-argument checks, plus
-    the document body a build check fills in (None for other commands)."""
-    payload = None
+    the document body a build check fills in (empty for other commands)."""
+    payload = {}
     checks = []
     if args.command == "build":
         if args.dim < 2:
             raise UsageError(f"--dim must be >= 2, got {args.dim}")
-        payload = {}
         checks = [partial(_build_check, args.dim, base_tol, payload)]
     elif args.command == "search":
         checks = [partial(_search_records, args.dim, args.alphabet, base_tol)]
@@ -710,23 +662,21 @@ def _run(checks: list, parallelism: int) -> list[Record]:
 # output
 
 
-def _render_text(doc: ReportDocument) -> str:
+def _render_text(doc: dict) -> str:
     lines = [
-        f"schema={SCHEMA} version={__version__} command={doc.command}",
-        "config: "
-        + " ".join(f"{k}={v}" for k, v in doc.config.to_json().items() if v is not None),
+        f"schema={doc['schema']} version={doc['version']} command={doc['command']}",
+        "config: " + " ".join(f"{k}={v}" for k, v in doc["config"].items() if v is not None),
     ]
-    if doc.payload and "family" in doc.payload:
-        fam = doc.payload["family"]
+    if "family" in doc:
+        fam = doc["family"]
         lines.append(f"family: d={fam['dimension']} recipe={fam['recipe']} bases={len(fam['bases'])}")
         for basis in fam["bases"]:
-            entries = np.array([[complex(re, im) for re, im in row] for row in basis["entries"]])
             lines.append(f"  {basis['label']} (scale {basis['scale']:.9g}):")
-            body = np.array2string(entries, precision=6, suppress_small=True, max_line_width=120)
+            body = np.array2string(basis["entries"], precision=6, suppress_small=True, max_line_width=120)
             lines.extend("    " + line for line in body.splitlines())
-    if doc.records:
+    if doc["records"]:
         lines.append(f"{'status':6} {'check':38} {'case':24} {'deviation':>12} {'tolerance':>12}")
-        for r in doc.records:
+        for r in doc["records"]:
             status = "pass" if r.passed else "FAIL" if r.passed is False else "info"
             dev = f"{r.deviation:.3e}" if r.deviation is not None else "-"
             tol = f"{r.tolerance:.3e}" if r.tolerance is not None else "-"
@@ -734,27 +684,28 @@ def _render_text(doc: ReportDocument) -> str:
             if r.detail:
                 line += f"  {r.detail}"
             lines.append(line)
-    s = doc.summary()
+    s = doc["summary"]
     lines.append(
         f"summary: {s['total']} checks | {s['passed']} passed | {s['failed']} failed | "
-        f"{s['informational']} informational | {doc.elapsed_s:.2f}s"
+        f"{s['informational']} informational | {doc['elapsed_s']:.2f}s"
     )
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(doc: ReportDocument) -> str:
+def _render_csv(doc: dict) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    if doc.payload and "family" in doc.payload:
+    if "family" in doc:
         writer.writerow(["basis", "row", "col", "re", "im"])
-        for basis in doc.payload["family"]["bases"]:
-            scale = basis["scale"]
-            for i, row in enumerate(basis["entries"]):
-                for j, (re, im) in enumerate(row):
-                    writer.writerow([basis["label"], i, j, repr(re * scale), repr(im * scale)])
+        for basis in doc["family"]["bases"]:
+            re = (basis["entries"].real * basis["scale"]).tolist()
+            im = (basis["entries"].imag * basis["scale"]).tolist()
+            for i, (re_row, im_row) in enumerate(zip(re, im)):
+                for j, cell in enumerate(zip(re_row, im_row)):
+                    writer.writerow([basis["label"], i, j, *cell])
     else:
         writer.writerow(["check", "case", "passed", "deviation", "tolerance", "elapsed_s", "detail"])
-        for r in doc.records:
+        for r in doc["records"]:
             writer.writerow(
                 [
                     r.check,
@@ -769,9 +720,19 @@ def _render_csv(doc: ReportDocument) -> str:
     return buffer.getvalue()
 
 
-def _emit(doc: ReportDocument, fmt: str, output: str | None) -> None:
+def _json_default(obj):
+    """Serialize what json cannot: records, and complex matrices as [re, im] pairs."""
+    if isinstance(obj, Record):
+        return obj.to_json()
+    if isinstance(obj, np.ndarray):
+        return np.stack([obj.real, obj.imag], axis=-1).tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _emit(doc: dict) -> None:
+    fmt, output = doc["config"]["format"], doc["config"]["output"]
     if fmt == "json":
-        text = json.dumps(doc.to_json(), indent=2) + "\n"
+        text = json.dumps(doc, indent=2, default=_json_default) + "\n"
     elif fmt == "csv":
         text = _render_csv(doc)
     else:
@@ -798,31 +759,28 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     finally:
         set_dense_cap(previous_cap)
-    doc = ReportDocument(
-        command=args.command,
-        config=RunConfig(
-            tolerance_base=base_tol,
-            parallelism=args.parallelism,
-            dense_cap=args.dense_cap,
-            fmt=args.fmt,
-            output=args.output,
-            params=_echo_params(args),
-        ),
-        records=records,
-        elapsed_s=time.perf_counter() - started,
-        payload=payload,
-    )
-    _emit(doc, args.fmt, args.output)
-    return EXIT_FAILURES if doc.summary()["failed"] else EXIT_OK
-
-
-def _echo_params(args) -> dict:
-    skip = {"tol", "fmt", "output", "parallelism", "dense_cap", "command"}
-    return {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in skip and value is not None
+    config = {
+        "tolerance_base": base_tol,
+        "parallelism": args.parallelism,
+        "dense_cap": args.dense_cap,
+        "format": args.fmt,
+        "output": args.output,
     }
+    # then every remaining argument that was given, in name order
+    listed = {"tol", "fmt", "output", "parallelism", "dense_cap", "command"}
+    config.update((k, v) for k, v in sorted(vars(args).items()) if k not in listed and v is not None)
+    doc = {
+        "schema": SCHEMA,
+        "version": __version__,
+        "command": args.command,
+        "config": config,
+        "records": records,
+        "summary": _summary(records),
+        "elapsed_s": round(time.perf_counter() - started, 6),
+        **payload,
+    }
+    _emit(doc)
+    return EXIT_FAILURES if doc["summary"]["failed"] else EXIT_OK
 
 
 def entry() -> None:  # console script hook

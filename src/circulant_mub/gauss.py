@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -74,14 +73,12 @@ class GaussSumSpec:
 
 
 def _direct(a: int, b: int, d: int) -> complex:
-    table = root_table(d)
-    a_red, b_red = a % (2 * d), b % (2 * d)
-    if 2 * d * d * d < 2**62:
-        j = np.arange(d, dtype=np.int64)
-        t = (a_red * j * j + b_red * j) % (2 * d)
-        return complex(table[t].sum())
-    # falls back to arbitrary-precision exponents for very large moduli
-    return complex(sum(table[(a_red * j * j + b_red * j) % (2 * d)] for j in range(d)))
+    # each factor is reduced mod 2d before the next product (the phase_ring
+    # order), so no int64 intermediate reaches 6*d**2
+    m = 2 * d
+    j = np.arange(d, dtype=np.int64)
+    t = ((a % m) * (j * j % m) + (b % m) * j) % m
+    return complex(root_table(d)[t].sum())
 
 
 def gauss_sum_direct(spec: GaussSumSpec) -> complex:
@@ -90,10 +87,10 @@ def gauss_sum_direct(spec: GaussSumSpec) -> complex:
 
 
 def _quarter_phase(a: int, b: int, d: int) -> complex:
-    # exp((i*pi/4)(sgn(a*d) - b**2/(a*d))) with the exponent kept rational:
-    # (|a*d| - b**2) / (4*a*d), reduced mod 2 before any float rounding.
-    frac = Fraction(abs(a * d) - b * b, 4 * a * d) % 2
-    return cmath.exp(1j * math.pi * float(frac))
+    # exp((i*pi/4)(sgn(a*d) - b**2/(a*d))): the exponent (|a*d| - b**2) / (4*a*d)
+    # is reduced mod 2 as an integer numerator mod 8*a*d before any float rounding.
+    frac = (abs(a * d) - b * b) % (8 * a * d) / (4 * a * d)
+    return cmath.exp(1j * math.pi * frac)
 
 
 def _geometric(a: int, b: int, d: int) -> complex:

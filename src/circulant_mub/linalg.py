@@ -73,7 +73,6 @@ class CheckResult:
 class DenseUnitary:
     dimension: int
     entries: np.ndarray
-    label: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +81,6 @@ class CirculantMatrix:
 
     dimension: int
     first_column: np.ndarray
-    label: str = ""
 
     def to_dense(self) -> np.ndarray:
         _check_cap(self.dimension)
@@ -124,10 +122,6 @@ def as_matrix(obj) -> np.ndarray:
     raise TypeError(f"cannot interpret {type(obj).__name__} as a matrix")
 
 
-def _label(obj) -> str:
-    return getattr(obj, "label", "") or type(obj).__name__
-
-
 def _freeze(entries: np.ndarray) -> np.ndarray:
     entries = np.ascontiguousarray(entries, dtype=np.complex128)
     entries.setflags(write=False)
@@ -145,7 +139,7 @@ def build_fourier(d: int) -> DenseUnitary:
     idx = np.arange(d, dtype=np.int64)
     t = (2 * np.outer(idx, idx)) % (2 * d)
     entries = root_table(d)[t] / math.sqrt(d)
-    return DenseUnitary(d, _freeze(entries), label="F")
+    return DenseUnitary(d, _freeze(entries))
 
 
 def build_clock(d: int) -> DiagonalUnitary:
@@ -165,7 +159,7 @@ def build_shift(d: int) -> CirculantMatrix:
         raise ValueError(f"shift matrix needs dimension >= 2, got {d}")
     column = np.zeros(d, dtype=np.complex128)
     column[d - 1] = 1.0
-    return CirculantMatrix(d, _freeze(column), label="V")
+    return CirculantMatrix(d, _freeze(column))
 
 
 def build_triangular_diagonal(d: int) -> DiagonalUnitary:
@@ -193,7 +187,7 @@ def build_rotation(d: int) -> CirculantMatrix:
         raise ValueError(f"rotation matrix needs dimension >= 2, got {d}")
     k = np.arange(d, dtype=np.int64)
     t = triangular_phase(k, -1, d) if d % 2 else square_phase(k, d)
-    return CirculantMatrix(d, _freeze(root_table(d)[t] / math.sqrt(d)), label="R")
+    return CirculantMatrix(d, _freeze(root_table(d)[t] / math.sqrt(d)))
 
 
 def build_phased_fourier(d: int, k: int) -> DenseUnitary:
@@ -209,7 +203,7 @@ def build_phased_fourier(d: int, k: int) -> DenseUnitary:
     j = np.arange(d, dtype=np.int64)
     t = (2 * np.outer(j, j) + triangular_phase(j, -k, d)[:, None]) % (2 * d)
     entries = root_table(d)[t] / math.sqrt(d)
-    return DenseUnitary(d, _freeze(entries), label=f"P_{k}")
+    return DenseUnitary(d, _freeze(entries))
 
 
 def build_index_reversal(d: int) -> DenseUnitary:
@@ -220,7 +214,7 @@ def build_index_reversal(d: int) -> DenseUnitary:
     entries[0, 0] = 1.0
     for j in range(1, d):
         entries[j, d - j] = 1.0
-    return DenseUnitary(d, _freeze(entries), label="W")
+    return DenseUnitary(d, _freeze(entries))
 
 
 def rotation_scalar(d: int) -> complex:
@@ -241,12 +235,12 @@ def multiply(a, b) -> DenseUnitary:
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape or ma.shape[0] != ma.shape[1]:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return DenseUnitary(ma.shape[0], _freeze(ma @ mb), label=f"{_label(a)}*{_label(b)}")
+    return DenseUnitary(ma.shape[0], _freeze(ma @ mb))
 
 
 def adjoint(a) -> DenseUnitary:
     ma = as_matrix(a)
-    return DenseUnitary(ma.shape[0], _freeze(ma.conj().T), label=f"{_label(a)}+")
+    return DenseUnitary(ma.shape[0], _freeze(ma.conj().T))
 
 
 def power(a, n: int, tol: float | None = None) -> DenseUnitary:
@@ -270,7 +264,7 @@ def power(a, n: int, tol: float | None = None) -> DenseUnitary:
         m >>= 1
         if m:
             base = base @ base
-    return DenseUnitary(d, _freeze(result), label=f"{_label(a)}^{n}")
+    return DenseUnitary(d, _freeze(result))
 
 
 def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatrix:
@@ -280,7 +274,7 @@ def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatri
     if a.dimension != b.dimension:
         raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
     column = np.fft.ifft(np.fft.fft(a.first_column) * np.fft.fft(b.first_column))
-    return CirculantMatrix(a.dimension, _freeze(column), label=f"{_label(a)}*{_label(b)}")
+    return CirculantMatrix(a.dimension, _freeze(column))
 
 
 def circulant_power(c: CirculantMatrix, n: int) -> CirculantMatrix:
@@ -288,7 +282,7 @@ def circulant_power(c: CirculantMatrix, n: int) -> CirculantMatrix:
     if n < 0:
         raise ValueError("circulant_power expects a nonnegative exponent")
     column = np.fft.ifft(np.fft.fft(c.first_column) ** n)
-    return CirculantMatrix(c.dimension, _freeze(column), label=f"{_label(c)}^{n}")
+    return CirculantMatrix(c.dimension, _freeze(column))
 
 
 def diagonalize_circulant(c: CirculantMatrix) -> np.ndarray:

@@ -29,17 +29,16 @@ from .gauss import is_prime, smallest_nontrivial_divisor
 from .linalg import (
     CheckResult,
     DenseUnitary,
+    _freeze,
     adjoint,
     build_fourier,
     build_rotation,
-    build_triangular_diagonal,
     circulant_deviation,
     circulant_multiply,
     default_tolerance,
     is_unitary,
     is_unitary_hadamard,
     multiply,
-    rotation_scalar,
 )
 from .phase_ring import root_table
 
@@ -82,15 +81,7 @@ class UnbiasednessReport:
 
 
 def _identity(d: int) -> DenseUnitary:
-    entries = np.eye(d, dtype=np.complex128)
-    entries.setflags(write=False)
-    return DenseUnitary(d, entries, label="I")
-
-
-def _dense(d: int, column_matrix: np.ndarray, label: str) -> DenseUnitary:
-    column_matrix = np.ascontiguousarray(column_matrix)
-    column_matrix.setflags(write=False)
-    return DenseUnitary(d, column_matrix, label=label)
+    return DenseUnitary(d, _freeze(np.eye(d)))
 
 
 def _d_two_bases() -> list[tuple[str, DenseUnitary]]:
@@ -99,7 +90,7 @@ def _d_two_bases() -> list[tuple[str, DenseUnitary]]:
     return [
         ("I", _identity(2)),
         ("F", build_fourier(2)),
-        ("Y", _dense(2, y, "Y")),
+        ("Y", DenseUnitary(2, _freeze(y))),
     ]
 
 
@@ -121,7 +112,7 @@ def build_family(d: int, tol: float | None = None) -> MubFamily:
         bases = [
             ("I", _identity(d)),
             ("F", build_fourier(d)),
-            ("R", _dense(d, rotation.to_dense(), "R")),
+            ("R", DenseUnitary(d, _freeze(rotation.to_dense()))),
         ]
         recipe = Recipe.EVEN
     else:
@@ -132,7 +123,7 @@ def build_family(d: int, tol: float | None = None) -> MubFamily:
         current = rotation
         for k in range(1, count + 1):
             label = "R" if k == 1 else f"R^{k}"
-            bases.append((label, _dense(d, current.to_dense(), label)))
+            bases.append((label, DenseUnitary(d, _freeze(current.to_dense()))))
             if k < count:
                 current = circulant_multiply(current, rotation)
     for label, basis in bases:
@@ -170,68 +161,6 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
         tolerance=tol,
         pairs=tuple(pairs),
         passed=all(p.passed for p in pairs),
-    )
-
-
-@dataclass(frozen=True)
-class PairStructureCheck:
-    dimension: int
-    k: int
-    k_prime: int | None
-    power_deviation: float | None
-    fourier_deviation: float
-    tolerance: float
-    passed: bool
-
-
-def check_pair_product_structure(
-    d: int, k: int, k_prime: int | None = None, tol: float | None = None
-) -> PairStructureCheck:
-    """Structure of rotation-power products for odd prime d.
-
-    Verifies F* R**k = alpha**k D**k F* (so the pair (F, R**k) reduces to a
-    phased Fourier matrix), and, when k_prime is given, that
-    (R*)**k_prime R**k = R**(k - k_prime), each side built independently.
-    """
-    if not is_prime(d) or d == 2:
-        raise ValueError(f"pair product structure needs an odd prime, got {d}")
-    if not 1 <= k <= d - 1:
-        raise ValueError(f"need 1 <= k <= d-1, got k={k}")
-    if k_prime is not None and not 1 <= k_prime < k:
-        raise ValueError(f"need 1 <= k_prime < k, got k_prime={k_prime}")
-    if tol is None:
-        tol = default_tolerance(d)
-    rotation = build_rotation(d)
-    fourier = build_fourier(d)
-    alpha = rotation_scalar(d)
-
-    def dense_power(n: int) -> np.ndarray:
-        current = rotation
-        for _ in range(n - 1):
-            current = circulant_multiply(current, rotation)
-        return current.to_dense()
-
-    r_k = dense_power(k)
-    lhs = multiply(adjoint(fourier), r_k).entries
-    rhs = alpha**k * (
-        build_triangular_diagonal(d).power(k).values()[:, None]
-        * adjoint(fourier).entries
-    )
-    fourier_dev = float(np.abs(lhs - rhs).max())
-    power_dev = None
-    if k_prime is not None:
-        left = multiply(adjoint(dense_power(k_prime)), r_k).entries
-        right = dense_power(k - k_prime)
-        power_dev = float(np.abs(left - right).max())
-    passed = fourier_dev <= tol and (power_dev is None or power_dev <= tol)
-    return PairStructureCheck(
-        dimension=d,
-        k=k,
-        k_prime=k_prime,
-        power_deviation=power_dev,
-        fourier_deviation=fourier_dev,
-        tolerance=tol,
-        passed=passed,
     )
 
 

@@ -280,7 +280,21 @@ def test_text_and_csv_formats(capsys):
     assert csv_text.splitlines()[0] == "check,case,passed,deviation,tolerance,elapsed_s,detail"
     assert main(["build", "--dim", "3", "--format", "csv"]) == EXIT_OK
     build_csv = capsys.readouterr().out
-    assert build_csv.splitlines()[0] == "basis,row,col,re,im"
+    header, *rows = build_csv.splitlines()
+    assert header == "basis,row,col,re,im"
+    # every cell is a plain float literal: the json entry times its scale,
+    # which is the family's entry up to the rounding of that round trip
+    _, doc = run_json(capsys, ["build", "--dim", "3"])
+    payload = {basis["label"]: basis for basis in doc["family"]["bases"]}
+    bases = dict(build_family(3).bases)
+    assert len(rows) == len(bases) * 9
+    for row in rows:
+        label, i, j, re, im = row.split(",")
+        scale = payload[label]["scale"]
+        json_re, json_im = payload[label]["entries"][int(i)][int(j)]
+        assert (float(re), float(im)) == (json_re * scale, json_im * scale)
+        entry = bases[label].entries[int(i), int(j)]
+        assert abs(complex(float(re), float(im)) - entry) < 1e-15
 
 
 def test_output_file(tmp_path, capsys):

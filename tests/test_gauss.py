@@ -10,6 +10,7 @@ from circulant_mub import (
     gauss_sum_direct,
     gauss_sum_reciprocity,
     is_prime,
+    root_table,
     smallest_nontrivial_divisor,
     verify_even_gauss,
     verify_rotation_power_sums,
@@ -59,6 +60,15 @@ def test_direct_sum_frozen_values():
     s = gauss_sum_direct(GaussSumSpec(1, 1, 3))
     assert abs(s - (1.5 + 0.8660254037844386j)) < 1e-14
     assert abs(abs(s) - math.sqrt(3)) < 1e-14
+
+
+def test_direct_sum_vectorized_at_large_modulus():
+    # d = 1,321,123 is the least d with 2*d**3 >= 2**62; the exponents must
+    # still match a gather of exponents formed with Python ints
+    d = 1_321_123
+    a, b = 2 * d - 1, -(10**20 + 3)
+    t = np.array([(a * j * j + b * j) % (2 * d) for j in range(d)], dtype=np.int64)
+    assert gauss_sum_direct(GaussSumSpec(a, b, d)) == complex(root_table(d)[t].sum())
 
 
 def test_reciprocity_single_step_matches_direct():

@@ -8,7 +8,6 @@ from circulant_mub import (
     Recipe,
     build_family,
     build_fourier,
-    check_pair_product_structure,
     negative_check_even,
     verify_family,
 )
@@ -101,35 +100,6 @@ def test_verifier_flags_biased_pair():
     assert report.pairs[0].deviation == pytest.approx(1 - 0.5)
     with pytest.raises(ValueError):
         verify_family(duplicated, tol=-1.0)
-
-
-def test_pair_product_structure():
-    check = check_pair_product_structure(5, 2, k_prime=1)
-    assert check.passed
-    assert check.fourier_deviation < 1e-12
-    assert check.power_deviation < 1e-12
-    solo = check_pair_product_structure(7, 3)
-    assert solo.power_deviation is None
-    assert solo.passed
-
-
-def test_pair_product_structure_full_sweep():
-    d = 11
-    for k in range(1, d):
-        for k_prime in [None] + list(range(1, k)):
-            check = check_pair_product_structure(d, k, k_prime=k_prime)
-            assert check.passed, (k, k_prime, check)
-
-
-def test_pair_product_structure_validation():
-    with pytest.raises(ValueError):
-        check_pair_product_structure(9, 1)
-    with pytest.raises(ValueError):
-        check_pair_product_structure(2, 1)
-    with pytest.raises(ValueError):
-        check_pair_product_structure(7, 0)
-    with pytest.raises(ValueError):
-        check_pair_product_structure(7, 2, k_prime=2)
 
 
 @pytest.mark.parametrize("d", [4, 6, 8, 10, 14, 16])

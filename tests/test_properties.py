@@ -1,7 +1,10 @@
 """Property tests: the int64 exponent arithmetic against Python-int formulas,
-and reciprocity against the direct Gauss sum on random parameters."""
+reciprocity against the direct Gauss sum on random parameters, and the
+matrix <-> sequence equivalence for rotation powers."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,12 +12,17 @@ from hypothesis import strategies as st
 
 from circulant_mub import (
     GaussSumSpec,
+    build_rotation,
     build_triangular_diagonal,
+    circulant_power,
     gauss_sum_direct,
     gauss_sum_reciprocity,
+    is_biunimodular,
+    is_unitary_hadamard,
     square_phase,
     triangular_phase,
 )
+from circulant_mub.gauss import _quarter_phase
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=100)
 HUGE = 10**30
@@ -93,3 +101,33 @@ def test_recursive_reciprocity_matches_direct(a, b, d):
     spec = GaussSumSpec(*parity_valid(a, b, d))
     direct = gauss_sum_direct(spec)
     assert abs(gauss_sum_reciprocity(spec, recursive=True) - direct) < 1e-10 * math.sqrt(d)
+
+
+@PROPERTY
+@given(
+    a=st.integers(1, HUGE) | st.integers(-HUGE, -1),
+    b=st.integers(-HUGE, HUGE),
+    d=st.integers(1, HUGE),
+)
+def test_quarter_phase_matches_fraction_formula(a, b, d):
+    # reference: (|a*d| - b**2) / (4*a*d) reduced mod 2 as an exact rational
+    frac = Fraction(abs(a * d) - b * b, 4 * a * d) % 2
+    assert _quarter_phase(a, b, d) == cmath.exp(1j * math.pi * float(frac))
+
+
+@st.composite
+def odd_dimension_and_power(draw):
+    d = 2 * draw(st.integers(1, 49)) + 1
+    return d, draw(st.integers(1, d - 1))
+
+
+@PROPERTY
+@given(odd_dimension_and_power())
+def test_rotation_power_is_hadamard_iff_biunimodular_iff_coprime(dk):
+    # R**k is a unitary Hadamard matrix exactly when sqrt(d) times its first
+    # column is a bi-unimodular sequence, exactly when gcd(k, d) = 1
+    d, k = dk
+    power = circulant_power(build_rotation(d), k)
+    hadamard = is_unitary_hadamard(power.to_dense()).passed
+    biunimodular = is_biunimodular(math.sqrt(d) * power.first_column).passed
+    assert hadamard == biunimodular == (math.gcd(k, d) == 1)
