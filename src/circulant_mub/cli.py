@@ -9,13 +9,17 @@ Subcommands
     sweep    the full battery (verify + gauss identities) over a range
 
 _plan turns the arguments into checks, one per case: plain functions of the
-case and the tolerance base that return records.  _run times each check on up
-to --parallelism threads and sorts the records by (check, case), so reports
-are deterministic whatever the parallelism.  main() then puts the report
-together once, as one plain mub-report/1 dict (config, records, summary and,
-for build, the family with its matrices kept as complex arrays), and the
-json, text and csv renderers all read that dict.  Exit codes: 0 all checks
-passed, 1 at least one check failed, 2 usage error.
+case and the tolerance base that return records.  A record is a plain dict
+(check, case, passed, deviation, tolerance, detail, elapsed_s); _bounded
+holds the one pass rule, deviation <= tolerance, and passed is None on an
+informational record.  _run times each check on up to --parallelism threads
+and sorts the records by (check, case), so reports are deterministic whatever
+the parallelism.  main() then puts the report together once, as one plain
+mub-report/1 dict (config, records, summary and, for build, the family with
+its matrices kept as complex arrays), and the json, text and csv renderers
+write that dict straight into the --output file or stdout.  Exit codes: 0 all
+checks passed, 1 at least one check failed, 2 usage error, 3 internal error
+(an unexpected exception, reported with its traceback on stderr).
 
 The --tol flag (or the MUB_DEFAULT_TOL environment variable) sets the
 tolerance base; matrix identity checks scale it by sqrt(d), scalar Gauss
@@ -26,14 +30,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -77,6 +81,7 @@ from .sequences import canonical_form, exhaustive_biunimodular, gauss_sequence, 
 EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 SCHEMA = "mub-report/1"
 DEFAULT_TOL_BASE = 1e-9
@@ -87,46 +92,44 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class Record:
-    check: str
-    case: dict
-    passed: bool | None  # None marks an informational record
-    deviation: float | None = None
-    tolerance: float | None = None
-    detail: str = ""
-    elapsed_s: float = 0.0
-
-    def case_text(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self.case.items())
-
-    def sort_key(self):
-        parts = []
-        for key, value in self.case.items():
-            if isinstance(value, (int, float)):
-                parts.append((key, 0, float(value), ""))
-            else:
-                parts.append((key, 1, 0.0, str(value)))
-        return (self.check, tuple(parts))
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "case": self.case,
-            "passed": self.passed,
-            "deviation": self.deviation,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-            "elapsed_s": round(self.elapsed_s, 6),
-        }
+def _record(check: str, case: dict, passed, deviation=None, tolerance=None, detail: str = "") -> dict:
+    """One report record; passed is None for an informational record."""
+    return {
+        "check": check,
+        "case": case,
+        "passed": passed,
+        "deviation": deviation,
+        "tolerance": tolerance,
+        "detail": detail,
+        "elapsed_s": 0.0,
+    }
 
 
-def _summary(records: list[Record]) -> dict:
+def _bounded(check: str, case: dict, deviation: float, tolerance: float, detail: str = "") -> dict:
+    """A record that passes exactly when the deviation is within the tolerance."""
+    return _record(check, case, deviation <= tolerance, deviation, tolerance, detail)
+
+
+def case_text(record: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in record["case"].items())
+
+
+def sort_key(record: dict):
+    parts = []
+    for key, value in record["case"].items():
+        if isinstance(value, (int, float)):
+            parts.append((key, 0, float(value), ""))
+        else:
+            parts.append((key, 1, 0.0, str(value)))
+    return (record["check"], tuple(parts))
+
+
+def _summary(records: list[dict]) -> dict:
     return {
         "total": len(records),
-        "passed": sum(1 for r in records if r.passed is True),
-        "failed": sum(1 for r in records if r.passed is False),
-        "informational": sum(1 for r in records if r.passed is None),
+        "passed": sum(1 for r in records if r["passed"] is True),
+        "failed": sum(1 for r in records if r["passed"] is False),
+        "informational": sum(1 for r in records if r["passed"] is None),
     }
 
 
@@ -225,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # checks: each takes one case and the tolerance base and returns its records
 
 
-def _structural_records(d: int, base_tol: float) -> list[Record]:
+def _structural_records(d: int, base_tol: float) -> list[dict]:
     tol = default_tolerance(d, base_tol)
     omega = complex(root_table(d)[2 % (2 * d)])
     fourier = build_fourier(d)
@@ -234,17 +237,17 @@ def _structural_records(d: int, base_tol: float) -> list[Record]:
     records = []
 
     dev = float(np.abs(shift @ clock - omega * (clock @ shift)).max())
-    records.append(Record("clock-shift-commutation", {"d": d}, dev <= tol, dev, tol))
+    records.append(_bounded("clock-shift-commutation", {"d": d}, dev, tol))
 
     dev = float(np.abs(multiply(multiply(adjoint(fourier), shift), fourier).entries - clock).max())
-    records.append(Record("fourier-diagonalizes-shift", {"d": d}, dev <= tol, dev, tol))
+    records.append(_bounded("fourier-diagonalizes-shift", {"d": d}, dev, tol))
 
     f2 = multiply(fourier, fourier).entries
     dev = float(np.abs(f2 - build_index_reversal(d).entries).max())
-    records.append(Record("fourier-square-is-reversal", {"d": d}, dev <= tol, dev, tol))
+    records.append(_bounded("fourier-square-is-reversal", {"d": d}, dev, tol))
 
     dev = float(np.abs(f2 @ f2 - np.eye(d)).max())
-    records.append(Record("fourier-order-four", {"d": d}, dev <= tol, dev, tol))
+    records.append(_bounded("fourier-order-four", {"d": d}, dev, tol))
 
     if d % 2 and is_prime(d):
         alpha = rotation_scalar(d)
@@ -252,13 +255,13 @@ def _structural_records(d: int, base_tol: float) -> list[Record]:
         diag = build_triangular_diagonal(d)
         rhs = alpha * multiply(multiply(fourier, diag), adjoint(fourier)).entries
         dev = float(np.abs(rotation - rhs).max())
-        records.append(Record("rotation-diagonalization", {"d": d}, dev <= tol, dev, tol))
+        records.append(_bounded("rotation-diagonalization", {"d": d}, dev, tol))
 
         dev = float(np.abs(rotation @ clock @ rotation.conj().T - shift @ clock).max())
-        records.append(Record("rotation-clock-conjugation", {"d": d}, dev <= tol, dev, tol))
+        records.append(_bounded("rotation-clock-conjugation", {"d": d}, dev, tol))
 
         dev = float(np.abs(power(rotation, d).entries - alpha**d * np.eye(d)).max())
-        records.append(Record("rotation-order", {"d": d}, dev <= tol, dev, tol))
+        records.append(_bounded("rotation-order", {"d": d}, dev, tol))
 
         sample = sorted({1, 2, d - 2, d - 1} & set(range(1, d)))
         for k in sample:
@@ -266,19 +269,15 @@ def _structural_records(d: int, base_tol: float) -> list[Record]:
             lhs = r_k @ clock @ r_k.conj().T
             rhs = power(shift, k).entries @ clock
             dev = float(np.abs(lhs - rhs).max())
-            records.append(
-                Record("rotation-power-clock", {"d": d, "k": k}, dev <= tol, dev, tol)
-            )
+            records.append(_bounded("rotation-power-clock", {"d": d, "k": k}, dev, tol))
             lhs = build_phased_fourier(d, k).entries
             rhs = alpha**k * (adjoint(fourier).entries @ power(rotation, -k).entries @ f2)
             dev = float(np.abs(lhs - rhs).max())
-            records.append(
-                Record("phased-fourier-identity", {"d": d, "k": k}, dev <= tol, dev, tol)
-            )
+            records.append(_bounded("phased-fourier-identity", {"d": d, "k": k}, dev, tol))
     return records
 
 
-def _family_records(family: MubFamily, base_tol: float) -> list[Record]:
+def _family_records(family: MubFamily, base_tol: float) -> list[dict]:
     d = family.dimension
     tol = default_tolerance(d, base_tol)
     report = verify_family(family, tol)
@@ -289,7 +288,7 @@ def _family_records(family: MubFamily, base_tol: float) -> list[Record]:
     else:
         expected = smallest_nontrivial_divisor(d) + 1
     records = [
-        Record(
+        _record(
             "family-size",
             {"d": d},
             len(family.bases) == expected,
@@ -298,7 +297,7 @@ def _family_records(family: MubFamily, base_tol: float) -> list[Record]:
     ]
     for pair in report.pairs:
         records.append(
-            Record(
+            _record(
                 "pair-unbiased",
                 {"d": d, "pair": f"{pair.label_a}|{pair.label_b}"},
                 pair.passed,
@@ -309,7 +308,7 @@ def _family_records(family: MubFamily, base_tol: float) -> list[Record]:
     return records
 
 
-def _coprimality_records(d: int, base_tol: float) -> list[Record]:
+def _coprimality_records(d: int, base_tol: float) -> list[dict]:
     # odd composite: rotation powers are Hadamard exactly at coprime exponents
     tol = default_tolerance(d, base_tol)
     rotation = build_rotation(d)
@@ -321,7 +320,7 @@ def _coprimality_records(d: int, base_tol: float) -> list[Record]:
             wrong.append(k)
     detail = f"k=1..{d - 1}" + (f" mismatches at {wrong}" if wrong else "")
     return [
-        Record(
+        _record(
             "rotation-power-hadamard-iff-coprime",
             {"d": d},
             not wrong,
@@ -331,7 +330,7 @@ def _coprimality_records(d: int, base_tol: float) -> list[Record]:
     ]
 
 
-def _negative_records(d: int, base_tol: float) -> list[Record]:
+def _negative_records(d: int, base_tol: float) -> list[dict]:
     tol = default_tolerance(d, base_tol)
     check = negative_check_even(d, tol)
     detail = (
@@ -340,7 +339,7 @@ def _negative_records(d: int, base_tol: float) -> list[Record]:
         f"vs required {1 / math.sqrt(d):.6f}"
     )
     return [
-        Record(
+        _record(
             "rotation-square-not-hadamard",
             {"d": d},
             check.passed,
@@ -351,7 +350,7 @@ def _negative_records(d: int, base_tol: float) -> list[Record]:
     ]
 
 
-def _verify_check(d: int, base_tol: float) -> list[Record]:
+def _verify_check(d: int, base_tol: float) -> list[dict]:
     records = _family_records(build_family(d), base_tol)
     records.extend(_structural_records(d, base_tol))
     if d % 2 and d >= 3 and not is_prime(d):
@@ -372,7 +371,7 @@ def _matrix_payload(label: str, matrix, d: int) -> dict:
     return {"label": label, "scale": scale, "entries": entries / scale}
 
 
-def _build_check(d: int, base_tol: float, payload: dict) -> list[Record]:
+def _build_check(d: int, base_tol: float, payload: dict) -> list[dict]:
     """The family records of dimension d; the serialized family goes into payload."""
     family = build_family(d)
     payload["family"] = {
@@ -383,25 +382,18 @@ def _build_check(d: int, base_tol: float, payload: dict) -> list[Record]:
     return _family_records(family, base_tol)
 
 
-def _identity_check(d: int, multipliers: list[int], base_tol: float) -> list[Record]:
+def _identity_check(d: int, multipliers: list[int], base_tol: float) -> list[dict]:
     records = []
     for l in multipliers:
         if math.gcd(l, d) == 1:
             dev = float(gauss_identity_sweep(d, l).max())
             records.append(
-                Record(
-                    "gauss-identity",
-                    {"d": d, "l": l},
-                    dev <= base_tol,
-                    dev,
-                    base_tol,
-                    detail="max over all shifts j",
-                )
+                _bounded("gauss-identity", {"d": d, "l": l}, dev, base_tol, "max over all shifts j")
             )
         else:
             sums = np.abs(_shift_sums(d, l))
             records.append(
-                Record(
+                _record(
                     "gauss-identity-probe",
                     {"d": d, "l": l},
                     None,
@@ -414,7 +406,7 @@ def _identity_check(d: int, multipliers: list[int], base_tol: float) -> list[Rec
     return records
 
 
-def _reciprocity_check(a: int, d: int, b_span: range | None, base_tol: float) -> list[Record]:
+def _reciprocity_check(a: int, d: int, b_span: range | None, base_tol: float) -> list[dict]:
     b_range = b_span if b_span is not None else range(-2 * d, 2 * d + 1)
     b_values = [b for b in b_range if (a * d + b) % 2 == 0]
     worst = 0.0
@@ -423,53 +415,34 @@ def _reciprocity_check(a: int, d: int, b_span: range | None, base_tol: float) ->
         direct = gauss_sum_direct(spec)
         via = gauss_sum_reciprocity(spec)
         worst = max(worst, abs(direct - via))
-    record = Record(
-        "reciprocity-consistency",
-        {"a": a, "d": d},
-        worst <= base_tol,
-        worst,
-        base_tol,
-        detail=f"{len(b_values)} parity-valid b values",
-    )
-    return [record]
+    case, detail = {"a": a, "d": d}, f"{len(b_values)} parity-valid b values"
+    if not b_values:  # no triple was tested: nothing passed or failed
+        return [_record("reciprocity-consistency", case, None, detail=detail)]
+    return [_bounded("reciprocity-consistency", case, worst, base_tol, detail)]
 
 
-def _even_check(d: int, base_tol: float) -> list[Record]:
+def _even_check(d: int, base_tol: float) -> list[dict]:
     dev = verify_even_gauss(d)
-    return [Record("even-gauss-sum", {"d": d}, dev <= base_tol, dev, base_tol)]
+    return [_bounded("even-gauss-sum", {"d": d}, dev, base_tol)]
 
 
-def _trace_check(d: int, ks: list[int], base_tol: float) -> list[Record]:
+def _trace_check(d: int, ks: list[int], base_tol: float) -> list[dict]:
     worst = max(verify_triangular_trace(d, k) for k in ks)
-    record = Record(
-        "triangular-trace",
-        {"d": d},
-        worst <= base_tol,
-        worst,
-        base_tol,
-        detail=f"max over {len(ks)} coprime powers",
-    )
-    return [record]
+    detail = f"max over {len(ks)} coprime powers"
+    return [_bounded("triangular-trace", {"d": d}, worst, base_tol, detail)]
 
 
 def _powersums_check(
     d: int, k_span: range | None, m_span: range | None, base_tol: float
-) -> list[Record]:
+) -> list[dict]:
     ks = list(k_span) if k_span is not None else list(range(1, d))
     ms = list(m_span) if m_span is not None else list(range(-2, 3))
     worst = max(max(verify_rotation_power_sums(d, k, m)) for k in ks for m in ms)
-    record = Record(
-        "rotation-power-sums",
-        {"d": d},
-        worst <= base_tol,
-        worst,
-        base_tol,
-        detail=f"{len(ks)} powers x {len(ms)} offsets, both moduli",
-    )
-    return [record]
+    detail = f"{len(ks)} powers x {len(ms)} offsets, both moduli"
+    return [_bounded("rotation-power-sums", {"d": d}, worst, base_tol, detail)]
 
 
-def _seq_check(d: int, k_span: range | None, base_tol: float) -> list[Record]:
+def _seq_check(d: int, k_span: range | None, base_tol: float) -> list[dict]:
     tol = default_tolerance(d, base_tol)
     records = []
     for k in k_span if k_span is not None else range(1, d):
@@ -484,7 +457,7 @@ def _seq_check(d: int, k_span: range | None, base_tol: float) -> list[Record]:
                 f"{report.freq_moduli.max():.6f}]"
             )
         records.append(
-            Record(
+            _record(
                 "gauss-sequence-biunimodular",
                 {"d": d, "k": k},
                 report.passed == expected,
@@ -496,7 +469,7 @@ def _seq_check(d: int, k_span: range | None, base_tol: float) -> list[Record]:
     return records
 
 
-def _search_records(d: int, alphabet: int, base_tol: float) -> list[Record]:
+def _search_records(d: int, alphabet: int, base_tol: float) -> list[dict]:
     tol = default_tolerance(d, base_tol)
     hits = exhaustive_biunimodular(d, alphabet, tol)
     orbits: dict[tuple, list] = {}
@@ -507,11 +480,9 @@ def _search_records(d: int, alphabet: int, base_tol: float) -> list[Record]:
         members = orbits[key]
         rep = ", ".join(f"{re:+.6f}{im:+.6f}j" for re, im in key)
         exps = _alphabet_exponents(key, alphabet)
-        detail = f"representative [{rep}] | members {len(members)}"
-        if exps is not None:
-            detail += f" | exponents of e(2*pi*i/{alphabet}): {exps}"
+        detail = f"representative [{rep}] | members {len(members)} | exponents of e(2*pi*i/{alphabet}): {exps}"
         records.append(
-            Record(
+            _record(
                 "search-orbit",
                 {"d": d, "alphabet": alphabet, "orbit": index},
                 None,
@@ -519,7 +490,7 @@ def _search_records(d: int, alphabet: int, base_tol: float) -> list[Record]:
             )
         )
     records.append(
-        Record(
+        _record(
             "search-total",
             {"d": d, "alphabet": alphabet},
             None,
@@ -530,16 +501,13 @@ def _search_records(d: int, alphabet: int, base_tol: float) -> list[Record]:
     return records
 
 
-def _alphabet_exponents(key: tuple, alphabet: int) -> str | None:
+def _alphabet_exponents(key: tuple, alphabet: int) -> str:
+    # every canonical entry of an accepted search lies on an alphabet root
+    # (tests/test_cli.py checks this over d <= 5, alphabet <= 12)
     exponents = []
     for re, im in key:
         angle = math.atan2(im, re) % (2 * math.pi)
-        k = angle * alphabet / (2 * math.pi)
-        nearest = round(k) % alphabet
-        value = complex(math.cos(2 * math.pi * nearest / alphabet), math.sin(2 * math.pi * nearest / alphabet))
-        if abs(value - complex(re, im)) > 1e-6:
-            return None
-        exponents.append(str(nearest))
+        exponents.append(str(round(angle * alphabet / (2 * math.pi)) % alphabet))
     return ",".join(exponents)
 
 
@@ -635,16 +603,16 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
     return checks, payload
 
 
-def _run(checks: list, parallelism: int) -> list[Record]:
+def _run(checks: list, parallelism: int) -> list[dict]:
     """Run the checks on at most `parallelism` threads; stamp every record
     with the wall time of the check that produced it and sort by (check, case)."""
 
-    def timed(check) -> list[Record]:
+    def timed(check) -> list[dict]:
         started = time.perf_counter()
         records = check()
-        elapsed = time.perf_counter() - started
+        elapsed = round(time.perf_counter() - started, 6)
         for record in records:
-            record.elapsed_s = elapsed
+            record["elapsed_s"] = elapsed
         return records
 
     workers = min(parallelism, len(checks))
@@ -654,7 +622,7 @@ def _run(checks: list, parallelism: int) -> list[Record]:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(timed, checks))
     records = [record for group in groups for record in group]
-    records.sort(key=Record.sort_key)
+    records.sort(key=sort_key)
     return records
 
 
@@ -677,12 +645,12 @@ def _render_text(doc: dict) -> str:
     if doc["records"]:
         lines.append(f"{'status':6} {'check':38} {'case':24} {'deviation':>12} {'tolerance':>12}")
         for r in doc["records"]:
-            status = "pass" if r.passed else "FAIL" if r.passed is False else "info"
-            dev = f"{r.deviation:.3e}" if r.deviation is not None else "-"
-            tol = f"{r.tolerance:.3e}" if r.tolerance is not None else "-"
-            line = f"{status:6} {r.check:38} {r.case_text():24} {dev:>12} {tol:>12}"
-            if r.detail:
-                line += f"  {r.detail}"
+            status = "pass" if r["passed"] else "FAIL" if r["passed"] is False else "info"
+            dev = f"{r['deviation']:.3e}" if r["deviation"] is not None else "-"
+            tol = f"{r['tolerance']:.3e}" if r["tolerance"] is not None else "-"
+            line = f"{status:6} {r['check']:38} {case_text(r):24} {dev:>12} {tol:>12}"
+            if r["detail"]:
+                line += f"  {r['detail']}"
             lines.append(line)
     s = doc["summary"]
     lines.append(
@@ -692,9 +660,8 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(doc: dict) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
+def _render_csv(doc: dict, handle) -> None:
+    writer = csv.writer(handle)
     if "family" in doc:
         writer.writerow(["basis", "row", "col", "re", "im"])
         for basis in doc["family"]["bases"]:
@@ -708,40 +675,35 @@ def _render_csv(doc: dict) -> str:
         for r in doc["records"]:
             writer.writerow(
                 [
-                    r.check,
-                    r.case_text(),
-                    "" if r.passed is None else str(r.passed).lower(),
-                    "" if r.deviation is None else repr(r.deviation),
-                    "" if r.tolerance is None else repr(r.tolerance),
-                    round(r.elapsed_s, 6),
-                    r.detail,
+                    r["check"],
+                    case_text(r),
+                    "" if r["passed"] is None else str(r["passed"]).lower(),
+                    "" if r["deviation"] is None else repr(r["deviation"]),
+                    "" if r["tolerance"] is None else repr(r["tolerance"]),
+                    r["elapsed_s"],
+                    r["detail"],
                 ]
             )
-    return buffer.getvalue()
 
 
 def _json_default(obj):
-    """Serialize what json cannot: records, and complex matrices as [re, im] pairs."""
-    if isinstance(obj, Record):
-        return obj.to_json()
+    """Serialize what json cannot: complex matrices, as [re, im] pairs."""
     if isinstance(obj, np.ndarray):
         return np.stack([obj.real, obj.imag], axis=-1).tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(doc: dict) -> None:
+    """Render the report straight into its destination, the --output file or stdout."""
     fmt, output = doc["config"]["format"], doc["config"]["output"]
-    if fmt == "json":
-        text = json.dumps(doc, indent=2, default=_json_default) + "\n"
-    elif fmt == "csv":
-        text = _render_csv(doc)
-    else:
-        text = _render_text(doc)
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as handle:
+        if fmt == "json":
+            json.dump(doc, handle, indent=2, default=_json_default)
+            handle.write("\n")
+        elif fmt == "csv":
+            _render_csv(doc, handle)
+        else:
+            handle.write(_render_text(doc))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -754,32 +716,36 @@ def main(argv: list[str] | None = None) -> int:
         set_dense_cap(args.dense_cap)
         checks, payload = _plan(args, base_tol)
         records = _run(checks, args.parallelism)
+        config = {
+            "tolerance_base": base_tol,
+            "parallelism": args.parallelism,
+            "dense_cap": args.dense_cap,
+            "format": args.fmt,
+            "output": args.output,
+        }
+        # then every remaining argument that was given, in name order
+        listed = {"tol", "fmt", "output", "parallelism", "dense_cap", "command"}
+        config.update((k, v) for k, v in sorted(vars(args).items()) if k not in listed and v is not None)
+        doc = {
+            "schema": SCHEMA,
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "records": records,
+            "summary": _summary(records),
+            "elapsed_s": round(time.perf_counter() - started, 6),
+            **payload,
+        }
+        _emit(doc)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a defect of the program, not of its input or its verdicts
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     finally:
         set_dense_cap(previous_cap)
-    config = {
-        "tolerance_base": base_tol,
-        "parallelism": args.parallelism,
-        "dense_cap": args.dense_cap,
-        "format": args.fmt,
-        "output": args.output,
-    }
-    # then every remaining argument that was given, in name order
-    listed = {"tol", "fmt", "output", "parallelism", "dense_cap", "command"}
-    config.update((k, v) for k, v in sorted(vars(args).items()) if k not in listed and v is not None)
-    doc = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": args.command,
-        "config": config,
-        "records": records,
-        "summary": _summary(records),
-        "elapsed_s": round(time.perf_counter() - started, 6),
-        **payload,
-    }
-    _emit(doc)
     return EXIT_FAILURES if doc["summary"]["failed"] else EXIT_OK
 
 

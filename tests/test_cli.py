@@ -2,14 +2,22 @@ import json
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
-from circulant_mub import build_family, get_dense_cap
+from circulant_mub import (
+    build_family,
+    canonical_form,
+    default_tolerance,
+    exhaustive_biunimodular,
+    get_dense_cap,
+)
 from circulant_mub import cli
 from circulant_mub.cli import (
     EXIT_FAILURES,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     SCHEMA,
@@ -220,6 +228,22 @@ def test_gauss_reciprocity(capsys):
     assert all("parity-valid" in r["detail"] for r in doc["records"])
 
 
+def test_reciprocity_without_parity_valid_b_is_informational(capsys):
+    # a*d + b is odd for every b in the span: no triple is tested, so the
+    # record neither passes nor fails
+    code, doc = run_json(capsys, ["gauss", "reciprocity", "--a", "1..2", "--d", "1..2", "--b=1"])
+    assert code == EXIT_OK
+    by_case = {(r["case"]["a"], r["case"]["d"]): r for r in doc["records"]}
+    for case in [(1, 2), (2, 1), (2, 2)]:
+        record = by_case[case]
+        assert record["passed"] is None
+        assert record["deviation"] is None and record["tolerance"] is None
+        assert record["detail"] == "0 parity-valid b values"
+    assert by_case[1, 1]["passed"] is True
+    assert by_case[1, 1]["detail"] == "1 parity-valid b values"
+    assert doc["summary"] == {"total": 4, "passed": 1, "failed": 0, "informational": 3}
+
+
 def test_gauss_even_trace_powersums(capsys):
     assert run_json(capsys, ["gauss", "even", "--d", "2..12"])[0] == EXIT_OK
     assert run_json(capsys, ["gauss", "trace", "--d", "3..15"])[0] == EXIT_OK
@@ -254,6 +278,28 @@ def test_search_dimension_three(capsys):
     assert code == EXIT_OK
     total = [r for r in doc["records"] if r["check"] == "search-total"][0]
     assert "18 bi-unimodular sequences in 2 orbits out of 27 candidates" in total["detail"]
+
+
+def test_search_orbits_match_exact_exponent_canonicalization():
+    # over every accepted search with d <= 5: each canonical entry lies within
+    # 1e-6 of the alphabet root whose exponent the report prints, and grouping
+    # hits by the float canonical form finds as many orbits as canonicalizing
+    # the integer exponent vectors exactly (rotate, then subtract the first
+    # exponent mod m)
+    for d in range(1, 6):
+        for m in range(1, 13):
+            hits = exhaustive_biunimodular(d, m, default_tolerance(d, cli.DEFAULT_TOL_BASE))
+            roots = np.exp(2j * np.pi * np.arange(m) / m)
+            exact = set()
+            for hit in hits:
+                exps = np.rint(np.angle(hit.values) * m / (2 * np.pi)).astype(int) % m
+                assert np.abs(roots[exps] - hit.values).max() < 1e-12
+                exact.add(min(tuple((np.roll(exps, -r) - exps[r]) % m) for r in range(d)))
+            keys = {canonical_form(hit) for hit in hits}
+            assert len(keys) == len(exact), (d, m)
+            for key in keys:
+                exps = [int(e) for e in cli._alphabet_exponents(key, m).split(",")]
+                assert max(abs(complex(*z) - roots[e]) for z, e in zip(key, exps)) <= 1e-6
 
 
 def test_search_bounds(capsys):
@@ -297,13 +343,31 @@ def test_text_and_csv_formats(capsys):
         assert abs(complex(float(re), float(im)) - entry) < 1e-15
 
 
-def test_output_file(tmp_path, capsys):
+def test_output_file(tmp_path, capsys, monkeypatch):
     target = tmp_path / "report.json"
     code = main(["verify", "--dims", "2", "--format", "json", "--output", str(target)])
     assert code == EXIT_OK
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["schema"] == SCHEMA
+    # with the clock frozen, a report written through --output and the same
+    # report on stdout differ only in the echoed config.output value
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    for argv in (["verify", "--dims", "2..5"], ["build", "--dim", "3"]):
+        for fmt in ("json", "csv", "text"):
+            target = tmp_path / f"{argv[0]}.{fmt}"
+            assert main(argv + ["--format", fmt]) == EXIT_OK
+            stdout = capsys.readouterr().out
+            assert main(argv + ["--format", fmt, "--output", str(target)]) == EXIT_OK
+            assert capsys.readouterr().out == ""
+            written = target.read_bytes().decode("utf-8")
+            if fmt == "json":
+                written = written.replace(json.dumps(str(target)), "null")
+            elif fmt == "text":
+                written = written.replace(f" output={target}", "")
+            else:  # csv rows end in \r\n, in the file as on stdout
+                assert written.count("\r\n") == len(written.splitlines()) > 1
+            assert written == stdout
 
 
 def test_tolerance_flag_and_environment(capsys, monkeypatch):
@@ -322,6 +386,19 @@ def test_tolerance_flag_and_environment(capsys, monkeypatch):
     assert doc["config"]["tolerance_base"] == pytest.approx(1e-8)
     monkeypatch.setenv("MUB_DEFAULT_TOL", "-1.0")
     assert main(["verify", "--dims", "5"]) == EXIT_USAGE
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(d):
+        raise RuntimeError("construction broke")
+
+    monkeypatch.setattr(cli, "build_family", broken)
+    assert main(["verify", "--dims", "3"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: RuntimeError: construction broke" in captured.err
+    assert "Traceback" in captured.err
+    assert EXIT_INTERNAL not in (EXIT_OK, EXIT_FAILURES, EXIT_USAGE)
 
 
 def test_dense_cap_flag(capsys):

@@ -1,11 +1,13 @@
 """Property tests: the int64 exponent arithmetic against Python-int formulas,
-reciprocity against the direct Gauss sum on random parameters, and the
-matrix <-> sequence equivalence for rotation powers."""
+reciprocity against the direct Gauss sum on random parameters, every Gauss
+sum path against a 30-digit mpmath oracle, and the matrix <-> sequence
+equivalence for rotation powers."""
 
 import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,25 @@ def test_recursive_reciprocity_matches_direct(a, b, d):
     spec = GaussSumSpec(*parity_valid(a, b, d))
     direct = gauss_sum_direct(spec)
     assert abs(gauss_sum_reciprocity(spec, recursive=True) - direct) < 1e-10 * math.sqrt(d)
+
+
+def mpmath_gauss_sum(a, b, d):
+    # 30-digit oracle: each exponent a*j**2 + b*j is reduced mod 2d exactly
+    # in Python ints before it becomes a high-precision phase
+    with mpmath.workdps(30):
+        total = mpmath.fsum(mpmath.expjpi(mpmath.mpf((a * j * j + b * j) % (2 * d)) / d) for j in range(d))
+        return complex(total)
+
+
+@PROPERTY
+@given(a=nonzero, b=st.integers(-10**6, 10**6), d=st.integers(1, 300))
+def test_gauss_sums_match_a_high_precision_oracle(a, b, d):
+    spec = GaussSumSpec(*parity_valid(a, b, d))
+    exact = mpmath_gauss_sum(spec.a, spec.b, spec.d)
+    bound = 1e-13 * math.sqrt(d)
+    assert abs(gauss_sum_direct(spec) - exact) < bound
+    assert abs(gauss_sum_reciprocity(spec) - exact) < bound
+    assert abs(gauss_sum_reciprocity(spec, recursive=True) - exact) < bound
 
 
 @PROPERTY
