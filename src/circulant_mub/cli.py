@@ -15,10 +15,12 @@ holds the one pass rule, deviation <= tolerance, and passed is None on an
 informational record.  _run times each check on up to --parallelism threads
 and sorts the records by (check, case), so reports are deterministic whatever
 the parallelism.  main() then puts the report together once, as one plain
-mub-report/1 dict (config, records, summary and, for build, the family with
-its matrices kept as complex arrays), and the json, text and csv renderers
-write that dict straight into the --output file or stdout.  Exit codes: 0 all
-checks passed, 1 at least one check failed, 2 usage error, 3 internal error
+mub-report/1 dict (config, records, summary and, for build, the MubFamily
+itself), and the json, text and csv renderers write that dict straight into
+the --output file or stdout, which is opened before any check runs.  json and
+text write each member as scale * entries, csv the member's own entries.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
+(a bad argument or an --output path that cannot be opened), 3 internal error
 (an unexpected exception, reported with its traceback on stderr).
 
 The --tol flag (or the MUB_DEFAULT_TOL environment variable) sets the
@@ -56,6 +58,7 @@ from .gauss import (
     verify_triangular_trace,
 )
 from .linalg import (
+    _circulant_hadamard_deviation,
     adjoint,
     as_matrix,
     build_clock,
@@ -67,8 +70,8 @@ from .linalg import (
     build_triangular_diagonal,
     circulant_power,
     default_tolerance,
+    diagonalize_circulant,
     get_dense_cap,
-    is_unitary_hadamard,
     multiply,
     power,
     rotation_scalar,
@@ -314,9 +317,9 @@ def _coprimality_records(d: int, base_tol: float) -> list[dict]:
     rotation = build_rotation(d)
     wrong = []
     for k in range(1, d):
-        dense = circulant_power(rotation, k).to_dense()
-        verdict = is_unitary_hadamard(dense, tol).passed
-        if verdict != (math.gcd(k, d) == 1):
+        r_k = circulant_power(rotation, k)
+        deviation = _circulant_hadamard_deviation(r_k.first_column, diagonalize_circulant(r_k))
+        if (deviation <= tol) != (math.gcd(k, d) == 1):
             wrong.append(k)
     detail = f"k=1..{d - 1}" + (f" mismatches at {wrong}" if wrong else "")
     return [
@@ -371,14 +374,20 @@ def _matrix_payload(label: str, matrix, d: int) -> dict:
     return {"label": label, "scale": scale, "entries": entries / scale}
 
 
-def _build_check(d: int, base_tol: float, payload: dict) -> list[dict]:
-    """The family records of dimension d; the serialized family goes into payload."""
-    family = build_family(d)
-    payload["family"] = {
+def _family_payload(family: MubFamily) -> dict:
+    """The family as json and text write it: each member as scale * entries."""
+    d = family.dimension
+    return {
         "dimension": d,
         "recipe": family.recipe.value,
         "bases": [_matrix_payload(label, basis, d) for label, basis in family.bases],
     }
+
+
+def _build_check(d: int, base_tol: float, payload: dict) -> list[dict]:
+    """The family records of dimension d; the family itself goes into payload."""
+    family = build_family(d)
+    payload["family"] = family
     return _family_records(family, base_tol)
 
 
@@ -636,7 +645,7 @@ def _render_text(doc: dict) -> str:
         "config: " + " ".join(f"{k}={v}" for k, v in doc["config"].items() if v is not None),
     ]
     if "family" in doc:
-        fam = doc["family"]
+        fam = _family_payload(doc["family"])
         lines.append(f"family: d={fam['dimension']} recipe={fam['recipe']} bases={len(fam['bases'])}")
         for basis in fam["bases"]:
             lines.append(f"  {basis['label']} (scale {basis['scale']:.9g}):")
@@ -664,12 +673,11 @@ def _render_csv(doc: dict, handle) -> None:
     writer = csv.writer(handle)
     if "family" in doc:
         writer.writerow(["basis", "row", "col", "re", "im"])
-        for basis in doc["family"]["bases"]:
-            re = (basis["entries"].real * basis["scale"]).tolist()
-            im = (basis["entries"].imag * basis["scale"]).tolist()
-            for i, (re_row, im_row) in enumerate(zip(re, im)):
+        for label, basis in doc["family"].bases:
+            entries = as_matrix(basis)
+            for i, (re_row, im_row) in enumerate(zip(entries.real.tolist(), entries.imag.tolist())):
                 for j, cell in enumerate(zip(re_row, im_row)):
-                    writer.writerow([basis["label"], i, j, *cell])
+                    writer.writerow([label, i, j, *cell])
     else:
         writer.writerow(["check", "case", "passed", "deviation", "tolerance", "elapsed_s", "detail"])
         for r in doc["records"]:
@@ -687,23 +695,36 @@ def _render_csv(doc: dict, handle) -> None:
 
 
 def _json_default(obj):
-    """Serialize what json cannot: complex matrices, as [re, im] pairs."""
+    """Serialize what json cannot: the family, and complex matrices as [re, im] pairs."""
+    if isinstance(obj, MubFamily):
+        return _family_payload(obj)
     if isinstance(obj, np.ndarray):
         return np.stack([obj.real, obj.imag], axis=-1).tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(doc: dict) -> None:
-    """Render the report straight into its destination, the --output file or stdout."""
-    fmt, output = doc["config"]["format"], doc["config"]["output"]
-    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as handle:
-        if fmt == "json":
-            json.dump(doc, handle, indent=2, default=_json_default)
-            handle.write("\n")
-        elif fmt == "csv":
-            _render_csv(doc, handle)
-        else:
-            handle.write(_render_text(doc))
+def _destination(output: str | None):
+    """The --output file opened for writing, or stdout.  It is opened before
+    any check runs, so a path that cannot be written is a usage error found
+    at once rather than after all the work."""
+    if not output:
+        return nullcontext(sys.stdout)
+    try:
+        return open(output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {output!r}: {exc.strerror or exc}") from exc
+
+
+def _emit(doc: dict, handle) -> None:
+    """Render the report straight into its open destination."""
+    fmt = doc["config"]["format"]
+    if fmt == "json":
+        json.dump(doc, handle, indent=2, default=_json_default)
+        handle.write("\n")
+    elif fmt == "csv":
+        _render_csv(doc, handle)
+    else:
+        handle.write(_render_text(doc))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -715,28 +736,29 @@ def main(argv: list[str] | None = None) -> int:
         base_tol = _resolve_tol(args.tol)
         set_dense_cap(args.dense_cap)
         checks, payload = _plan(args, base_tol)
-        records = _run(checks, args.parallelism)
-        config = {
-            "tolerance_base": base_tol,
-            "parallelism": args.parallelism,
-            "dense_cap": args.dense_cap,
-            "format": args.fmt,
-            "output": args.output,
-        }
-        # then every remaining argument that was given, in name order
-        listed = {"tol", "fmt", "output", "parallelism", "dense_cap", "command"}
-        config.update((k, v) for k, v in sorted(vars(args).items()) if k not in listed and v is not None)
-        doc = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "command": args.command,
-            "config": config,
-            "records": records,
-            "summary": _summary(records),
-            "elapsed_s": round(time.perf_counter() - started, 6),
-            **payload,
-        }
-        _emit(doc)
+        with _destination(args.output) as handle:
+            records = _run(checks, args.parallelism)
+            config = {
+                "tolerance_base": base_tol,
+                "parallelism": args.parallelism,
+                "dense_cap": args.dense_cap,
+                "format": args.fmt,
+                "output": args.output,
+            }
+            # then every remaining argument that was given, in name order
+            listed = {"tol", "fmt", "output", "parallelism", "dense_cap", "command"}
+            config.update((k, v) for k, v in sorted(vars(args).items()) if k not in listed and v is not None)
+            doc = {
+                "schema": SCHEMA,
+                "version": __version__,
+                "command": args.command,
+                "config": config,
+                "records": records,
+                "summary": _summary(records),
+                "elapsed_s": round(time.perf_counter() - started, 6),
+                **payload,
+            }
+            _emit(doc, handle)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,8 +13,15 @@ Families delivered here, by dimension class:
                     divisor of d above 1 (coprime powers only)
     d even >= 4     identity, Fourier, R
 
-The verifier never trusts the construction: it rebuilds every pairwise
-product densely and measures worst-case deviations.
+Every member R**k and, for d >= 3, the identity are circulants and stay
+stored by their first column; F, and every member at d = 2, are dense.  The
+verifier never trusts the construction: for each pair it measures the two
+defects of is_unitary_hadamard on A* B, the worst entry of |Gram - I| and of
+||entry| - d**-0.5|, in a form chosen by the members' types.  For two
+circulants A* B is the circulant of spectrum conj(s_a) s_b, so both defects
+are read off first columns in O(d log d); a dense member against a circulant
+goes through the FFT form of the product; two dense members are multiplied
+densely.
 """
 
 from __future__ import annotations
@@ -28,14 +35,19 @@ import numpy as np
 from .gauss import is_prime, smallest_nontrivial_divisor
 from .linalg import (
     CheckResult,
+    CirculantMatrix,
     DenseUnitary,
+    _circulant_gram_defect,
+    _circulant_hadamard_deviation,
     _freeze,
     adjoint,
+    as_matrix,
     build_fourier,
     build_rotation,
     circulant_deviation,
     circulant_multiply,
     default_tolerance,
+    diagonalize_circulant,
     is_unitary,
     is_unitary_hadamard,
     multiply,
@@ -53,7 +65,7 @@ class Recipe(str, Enum):
 @dataclass(frozen=True, eq=False)
 class MubFamily:
     dimension: int
-    bases: tuple[tuple[str, DenseUnitary], ...]
+    bases: tuple[tuple[str, DenseUnitary | CirculantMatrix], ...]
     recipe: Recipe
 
     def labels(self) -> tuple[str, ...]:
@@ -84,6 +96,12 @@ def _identity(d: int) -> DenseUnitary:
     return DenseUnitary(d, _freeze(np.eye(d)))
 
 
+def _circulant_identity(d: int) -> CirculantMatrix:
+    column = np.zeros(d, dtype=np.complex128)
+    column[0] = 1.0
+    return CirculantMatrix(d, _freeze(column))
+
+
 def _d_two_bases() -> list[tuple[str, DenseUnitary]]:
     one, i = root_table(2)[:2]
     y = np.array([[one, i], [i, one]]) / math.sqrt(2)
@@ -97,65 +115,120 @@ def _d_two_bases() -> list[tuple[str, DenseUnitary]]:
 def build_family(d: int, tol: float | None = None) -> MubFamily:
     """Construct the mutually unbiased family for dimension d.
 
-    Every member is checked unitary at construction; the cross-basis
-    unbiasedness statements are left to verify_family.
+    Circulant members (the identity and R**k for d >= 3) are kept as first
+    columns; F and the d = 2 members are dense.  Every member is checked
+    unitary at construction, a circulant one from its spectrum; the
+    cross-basis unbiasedness statements are left to verify_family.
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"mutually unbiased families need dimension >= 2, got {d}")
     if tol is None:
         tol = default_tolerance(d)
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     if d == 2:
         bases = _d_two_bases()
         recipe = Recipe.D_TWO
     elif d % 2 == 0:
-        rotation = build_rotation(d)
-        bases = [
-            ("I", _identity(d)),
-            ("F", build_fourier(d)),
-            ("R", DenseUnitary(d, _freeze(rotation.to_dense()))),
-        ]
+        bases = [("I", _circulant_identity(d)), ("F", build_fourier(d)), ("R", build_rotation(d))]
         recipe = Recipe.EVEN
     else:
         count = d - 1 if is_prime(d) else smallest_nontrivial_divisor(d) - 1
         recipe = Recipe.PRIME if is_prime(d) else Recipe.ODD_COMPOSITE
         rotation = build_rotation(d)
-        bases = [("I", _identity(d)), ("F", build_fourier(d))]
+        bases = [("I", _circulant_identity(d)), ("F", build_fourier(d))]
         current = rotation
         for k in range(1, count + 1):
-            label = "R" if k == 1 else f"R^{k}"
-            bases.append((label, DenseUnitary(d, _freeze(current.to_dense()))))
+            bases.append(("R" if k == 1 else f"R^{k}", current))
             if k < count:
                 current = circulant_multiply(current, rotation)
     for label, basis in bases:
-        check = is_unitary(basis, tol)
-        if not check.passed:
+        if isinstance(basis, CirculantMatrix):
+            deviation = float(_circulant_gram_defect(diagonalize_circulant(basis)))
+        else:
+            deviation = is_unitary(basis, tol).deviation
+        if not deviation <= tol:
             raise RuntimeError(
                 f"basis {label} failed the unitarity check at construction "
-                f"(deviation {check.deviation:.3e}, tol {tol:.3e})"
+                f"(deviation {deviation:.3e}, tol {tol:.3e})"
             )
     return MubFamily(dimension=int(d), bases=tuple(bases), recipe=recipe)
+
+
+def _hadamard_deviation(product: np.ndarray, gram: np.ndarray) -> float:
+    """is_unitary_hadamard's deviation of a dense product, given its Gram matrix."""
+    d = product.shape[0]
+    unitary = np.abs(gram - np.eye(d)).max()
+    modulus = np.abs(np.abs(product) - 1.0 / math.sqrt(d)).max()
+    return float(max(unitary, modulus))
+
+
+def _circulant_row(spectrum: np.ndarray, later: list, spectra: list) -> list[float]:
+    """Deviations of A* B for a circulant A of the given spectrum against
+    each later member B (spectra[j] is None for a dense B)."""
+    deviations = [0.0] * len(later)
+    circulants = [j for j, s in enumerate(spectra) if s is not None]
+    if circulants:
+        # A* B is the circulant of spectrum conj(s_a) s_b: the whole row at once
+        product = np.conj(spectrum) * np.array([spectra[j] for j in circulants])
+        row = _circulant_hadamard_deviation(np.fft.ifft(product, axis=-1), product)
+        for j, deviation in zip(circulants, row.tolist()):
+            deviations[j] = deviation
+    for j, b in enumerate(later):
+        if spectra[j] is None:
+            # A* is the circulant of spectrum conj(s_a), applied to B's columns
+            product = np.fft.ifft(np.conj(spectrum)[:, None] * np.fft.fft(as_matrix(b), axis=0), axis=0)
+            deviations[j] = _hadamard_deviation(product, product.conj().T @ product)
+    return deviations
+
+
+def _dense_row(a, later: list, spectra: list, tol: float) -> list[float]:
+    """Deviations of A* B for a dense A against each later member B."""
+    a_adj = adjoint(a)
+    if any(s is not None for s in spectra):
+        # with C = ifft . diag(s) . fft, M C = fft(ifft(M, rows) * s, rows); the
+        # Gram C* (A A*) C is conjugated by the DFT once, so each pair costs
+        # three FFTs of a d x d array
+        rows = np.fft.ifft(a_adj.entries, axis=1)
+        gram_hat = np.fft.fft(np.fft.ifft(as_matrix(a) @ a_adj.entries, axis=1), axis=0)
+    deviations = []
+    for b, s in zip(later, spectra):
+        if s is None:
+            deviations.append(is_unitary_hadamard(multiply(a_adj, b), tol).deviation)
+        else:
+            product = np.fft.fft(rows * s, axis=1)
+            gram = np.fft.fft(np.fft.ifft(np.conj(s)[:, None] * gram_hat * s, axis=0), axis=1)
+            deviations.append(_hadamard_deviation(product, gram))
+    return deviations
 
 
 def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessReport:
     """Measure unbiasedness of every pair of bases in the family.
 
-    For each unordered pair the dense product A* B is formed and checked to
-    be a unitary Hadamard matrix; pairs against the identity therefore
-    re-check that each non-identity member is itself unitary Hadamard.
+    For each unordered pair (A, B) the deviation is is_unitary_hadamard's on
+    A* B: the worse of max |Gram - I| and max ||entry| - d**-0.5|.  How it is
+    measured depends on the members' types.  Two circulants: from first
+    columns and spectra, one row of pairs at a time.  A circulant and a dense
+    member: through the FFT form of the product.  Two dense members: from the
+    dense product.  Pairs against the identity therefore re-check that each
+    other member is itself unitary Hadamard.
     """
     d = family.dimension
     if tol is None:
         tol = default_tolerance(d)
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    members = [basis for _, basis in family.bases]
+    spectra = [diagonalize_circulant(b) if isinstance(b, CirculantMatrix) else None for b in members]
     pairs = []
-    for i in range(len(family.bases)):
-        label_a, a = family.bases[i]
-        a_adj = adjoint(a)
-        for label_b, b in family.bases[i + 1 :]:
-            product = multiply(a_adj, b)
-            check = is_unitary_hadamard(product, tol)
-            pairs.append(PairCheck(label_a, label_b, check.deviation, check.passed))
+    for i, (label_a, a) in enumerate(family.bases):
+        later, later_spectra = members[i + 1 :], spectra[i + 1 :]
+        if spectra[i] is None:
+            deviations = _dense_row(a, later, later_spectra, tol)
+        else:
+            deviations = _circulant_row(spectra[i], later, later_spectra)
+        for (label_b, _), deviation in zip(family.bases[i + 1 :], deviations):
+            pairs.append(PairCheck(label_a, label_b, deviation, deviation <= tol))
     return UnbiasednessReport(
         dimension=d,
         tolerance=tol,

@@ -24,6 +24,7 @@ from circulant_mub.cli import (
     main,
     parse_span,
 )
+from circulant_mub.linalg import as_matrix
 
 
 def run_json(capsys, argv):
@@ -328,19 +329,15 @@ def test_text_and_csv_formats(capsys):
     build_csv = capsys.readouterr().out
     header, *rows = build_csv.splitlines()
     assert header == "basis,row,col,re,im"
-    # every cell is a plain float literal: the json entry times its scale,
-    # which is the family's entry up to the rounding of that round trip
-    _, doc = run_json(capsys, ["build", "--dim", "3"])
-    payload = {basis["label"]: basis for basis in doc["family"]["bases"]}
+    # every cell is a plain float literal that reads back as the family's own
+    # entry exactly (scaling by the json scale and back would not round-trip:
+    # 0.49999999999999983 came out as 0.4999999999999998 at d=3)
     bases = dict(build_family(3).bases)
     assert len(rows) == len(bases) * 9
     for row in rows:
         label, i, j, re, im = row.split(",")
-        scale = payload[label]["scale"]
-        json_re, json_im = payload[label]["entries"][int(i)][int(j)]
-        assert (float(re), float(im)) == (json_re * scale, json_im * scale)
-        entry = bases[label].entries[int(i), int(j)]
-        assert abs(complex(float(re), float(im)) - entry) < 1e-15
+        entry = as_matrix(bases[label])[int(i), int(j)]
+        assert (float(re), float(im)) == (entry.real, entry.imag)
 
 
 def test_output_file(tmp_path, capsys, monkeypatch):
@@ -399,6 +396,23 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert "internal error: RuntimeError: construction broke" in captured.err
     assert "Traceback" in captured.err
     assert EXIT_INTERNAL not in (EXIT_OK, EXIT_FAILURES, EXIT_USAGE)
+
+
+def test_unwritable_output_is_a_usage_error_found_before_any_check(tmp_path, capsys, monkeypatch):
+    def never(d):
+        raise AssertionError("a check ran before the destination was opened")
+
+    monkeypatch.setattr(cli, "build_family", never)
+    target = tmp_path / "missing-dir" / "x.json"
+    assert main(["verify", "--dims", "2", "--output", str(target)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --output")
+    assert "internal error" not in captured.err
+    assert not target.parent.exists()
+    # a directory is not a writable report file either
+    assert main(["build", "--dim", "3", "--output", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: cannot write --output")
 
 
 def test_dense_cap_flag(capsys):

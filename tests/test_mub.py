@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 
 from circulant_mub import (
+    CirculantMatrix,
+    DenseUnitary,
     MubFamily,
     Recipe,
+    adjoint,
     build_family,
     build_fourier,
+    build_rotation,
+    circulant_power,
+    default_tolerance,
+    is_unitary_hadamard,
+    multiply,
     negative_check_even,
     verify_family,
 )
+from circulant_mub import mub
+from circulant_mub.linalg import as_matrix
 from circulant_mub.mub import _identity
 
 
@@ -81,7 +91,7 @@ def test_pairwise_moduli_direct_oracle():
     # product between basis vectors of F and R has modulus d**-0.5
     family = build_family(5)
     bases = dict(family.bases)
-    f, r = bases["F"].entries, bases["R"].entries
+    f, r = as_matrix(bases["F"]), as_matrix(bases["R"])
     for i in range(5):
         for j in range(5):
             inner = np.vdot(f[:, i], r[:, j])
@@ -128,3 +138,82 @@ def test_fourier_unbiased_against_identity():
     assert {first.label_a, first.label_b} == {"I", "F"}
     product = build_fourier(7).entries
     assert np.abs(np.abs(product) - 7**-0.5).max() < 1e-14
+
+
+def _dense_oracle(family, tol):
+    """The dense pair loop: A* B formed as a matrix product and checked by
+    is_unitary_hadamard, for every unordered pair in family order."""
+    pairs = []
+    for i, (label_a, a) in enumerate(family.bases):
+        a_adj = adjoint(a)
+        for label_b, b in family.bases[i + 1 :]:
+            check = is_unitary_hadamard(multiply(a_adj, b), tol)
+            pairs.append((label_a, label_b, check.passed, check.deviation))
+    return pairs
+
+
+def _assert_matches_oracle(family):
+    tol = default_tolerance(family.dimension)
+    report = verify_family(family, tol)
+    oracle = _dense_oracle(family, tol)
+    assert [(p.label_a, p.label_b, p.passed) for p in report.pairs] == [o[:3] for o in oracle]
+    for pair, (*_, deviation) in zip(report.pairs, oracle):
+        assert abs(pair.deviation - deviation) <= 1e-14, (pair, deviation)
+    return report
+
+
+@pytest.mark.parametrize("d", [*range(2, 32), 49])
+def test_structured_verifier_matches_dense_oracle(d):
+    _assert_matches_oracle(build_family(d))
+
+
+def test_structured_verifier_matches_dense_oracle_on_biased_families():
+    r7 = build_rotation(7)
+    r7_dense = DenseUnitary(7, as_matrix(r7))
+    i9 = dict(build_family(9).bases)["I"]
+    r9_cube = circulant_power(build_rotation(9), 3)
+    rng = np.random.default_rng(0)
+    gaussian = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    twice_r7 = CirculantMatrix(7, 2 * r7.first_column)
+    families = [
+        # two copies of one circulant: R* R = I, as far from Hadamard as it gets
+        (7, (("R", r7), ("R'", r7))),
+        # gcd(3, 9) = 3, so R**3 is unitary but not Hadamard
+        (9, (("I", i9), ("R^3", r9_cube))),
+        # a dense member equal to a circulant one, on either side of it
+        (7, (("R", r7), ("D", r7_dense), ("F", build_fourier(7)), ("R'", r7))),
+        # members that are not even unitary, so that A A* is no identity
+        (7, (("R", r7), ("G", DenseUnitary(7, gaussian)), ("2R", twice_r7), ("F", build_fourier(7)))),
+    ]
+    reports = [_assert_matches_oracle(MubFamily(d, bases, Recipe.ODD_COMPOSITE)) for d, bases in families]
+    assert not any(report.passed for report in reports)
+    assert reports[0].pairs[0].deviation == pytest.approx(1 - 7**-0.5)
+
+
+def test_family_members_keep_their_structure():
+    for d in (3, 4, 9):
+        bases = dict(build_family(d).bases)
+        assert isinstance(bases["F"], DenseUnitary)
+        assert all(isinstance(b, CirculantMatrix) for label, b in bases.items() if label != "F")
+        assert np.array_equal(as_matrix(bases["I"]), np.eye(d))
+    assert all(isinstance(b, DenseUnitary) for _, b in build_family(2).bases)
+
+
+def test_circulant_pairs_need_no_dense_product(monkeypatch):
+    # a prime family has no two dense members, so no pair is multiplied densely
+    def never(*args):
+        raise AssertionError("dense pair check on a pair with a circulant member")
+
+    monkeypatch.setattr(mub, "multiply", never)
+    monkeypatch.setattr(mub, "is_unitary_hadamard", never)
+    assert verify_family(build_family(13)).passed
+
+
+def test_prime_family_beyond_the_dense_verifier():
+    # the dense pair loop takes seconds here, the structured one a fraction of one
+    d = 127
+    family = build_family(d)
+    report = verify_family(family)
+    assert len(report.pairs) == (d + 1) * d // 2
+    assert report.passed, report.worst
+    assert report.worst < 1e-12
