@@ -25,7 +25,9 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 
 The --tol flag (or the MUB_DEFAULT_TOL environment variable) sets the
 tolerance base; matrix identity checks scale it by sqrt(d), scalar Gauss
-sum checks use it as an absolute bound.
+sum checks use it as an absolute bound.  The family checks build the family at
+the scaled tolerance, and a member that fails its unitarity check at
+construction is a failed member-unitary record.
 """
 
 from __future__ import annotations
@@ -46,16 +48,14 @@ import numpy as np
 
 from . import __version__
 from .gauss import (
+    _direct,
+    _one_step,
+    _power_sum_deviations,
     _shift_sums,
     gauss_identity_sweep,
-    gauss_sum_direct,
-    gauss_sum_reciprocity,
-    GaussSumSpec,
     is_prime,
     smallest_nontrivial_divisor,
     verify_even_gauss,
-    verify_rotation_power_sums,
-    verify_triangular_trace,
 )
 from .linalg import (
     _circulant_hadamard_deviation,
@@ -77,7 +77,7 @@ from .linalg import (
     rotation_scalar,
     set_dense_cap,
 )
-from .mub import MubFamily, Recipe, build_family, negative_check_even, verify_family
+from .mub import ConstructionError, MubFamily, Recipe, build_family, negative_check_even, verify_family
 from .phase_ring import root_table
 from .sequences import canonical_form, exhaustive_biunimodular, gauss_sequence, is_biunimodular
 
@@ -353,8 +353,21 @@ def _negative_records(d: int, base_tol: float) -> list[dict]:
     ]
 
 
+def _built_family_records(d: int, base_tol: float, payload: dict) -> list[dict]:
+    """Build the family of dimension d at the run's tolerance, put it into
+    payload and verify it.  A member that fails the unitarity check at
+    construction gives a failed record instead of a family."""
+    tol = default_tolerance(d, base_tol)
+    try:
+        family = build_family(d, tol)
+    except ConstructionError as exc:
+        return [_bounded("member-unitary", {"d": d, "basis": exc.label}, exc.deviation, tol)]
+    payload["family"] = family
+    return _family_records(family, base_tol)
+
+
 def _verify_check(d: int, base_tol: float) -> list[dict]:
-    records = _family_records(build_family(d), base_tol)
+    records = _built_family_records(d, base_tol, {})
     records.extend(_structural_records(d, base_tol))
     if d % 2 and d >= 3 and not is_prime(d):
         records.extend(_coprimality_records(d, base_tol))
@@ -384,13 +397,6 @@ def _family_payload(family: MubFamily) -> dict:
     }
 
 
-def _build_check(d: int, base_tol: float, payload: dict) -> list[dict]:
-    """The family records of dimension d; the family itself goes into payload."""
-    family = build_family(d)
-    payload["family"] = family
-    return _family_records(family, base_tol)
-
-
 def _identity_check(d: int, multipliers: list[int], base_tol: float) -> list[dict]:
     records = []
     for l in multipliers:
@@ -417,16 +423,15 @@ def _identity_check(d: int, multipliers: list[int], base_tol: float) -> list[dic
 
 def _reciprocity_check(a: int, d: int, b_span: range | None, base_tol: float) -> list[dict]:
     b_range = b_span if b_span is not None else range(-2 * d, 2 * d + 1)
-    b_values = [b for b in b_range if (a * d + b) % 2 == 0]
-    worst = 0.0
-    for b in b_values:
-        spec = GaussSumSpec(a, b, d)
-        direct = gauss_sum_direct(spec)
-        via = gauss_sum_reciprocity(spec)
-        worst = max(worst, abs(direct - via))
+    first = b_range.start + (a * d + b_range.start) % 2  # the least b with a*d + b even
+    b_values = range(first, b_range.stop, 2)
     case, detail = {"a": a, "d": d}, f"{len(b_values)} parity-valid b values"
     if not b_values:  # no triple was tested: nothing passed or failed
         return [_record("reciprocity-consistency", case, None, detail=detail)]
+    # b mod 4ad, reduced as a Python int, fixes every sum: see the gauss module
+    n = 4 * a * d
+    b = (first % n + np.arange(0, 2 * len(b_values), 2, dtype=np.int64)) % n
+    worst = float(np.abs(_direct(a, b, d) - _one_step(a, b, d)).max())
     return [_bounded("reciprocity-consistency", case, worst, base_tol, detail)]
 
 
@@ -436,7 +441,9 @@ def _even_check(d: int, base_tol: float) -> list[dict]:
 
 
 def _trace_check(d: int, ks: list[int], base_tol: float) -> list[dict]:
-    worst = max(verify_triangular_trace(d, k) for k in ks)
+    # tr(D**k) = S(k, k, d) for the triangular diagonal D = diag(exp(i*pi*j*(j+1)/d))
+    powers = np.array([k % (2 * d) for k in ks], dtype=np.int64)
+    worst = float(np.abs(np.abs(_direct(powers, powers, d)) - math.sqrt(d)).max())
     detail = f"max over {len(ks)} coprime powers"
     return [_bounded("triangular-trace", {"d": d}, worst, base_tol, detail)]
 
@@ -446,7 +453,7 @@ def _powersums_check(
 ) -> list[dict]:
     ks = list(k_span) if k_span is not None else list(range(1, d))
     ms = list(m_span) if m_span is not None else list(range(-2, 3))
-    worst = max(max(verify_rotation_power_sums(d, k, m)) for k in ks for m in ms)
+    worst = float(max(deviations.max() for deviations in _power_sum_deviations(d, ks, ms)))
     detail = f"{len(ks)} powers x {len(ms)} offsets, both moduli"
     return [_bounded("rotation-power-sums", {"d": d}, worst, base_tol, detail)]
 
@@ -543,7 +550,7 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
     if args.command == "build":
         if args.dim < 2:
             raise UsageError(f"--dim must be >= 2, got {args.dim}")
-        checks = [partial(_build_check, args.dim, base_tol, payload)]
+        checks = [partial(_built_family_records, args.dim, base_tol, payload)]
     elif args.command == "search":
         checks = [partial(_search_records, args.dim, args.alphabet, base_tol)]
     elif args.command == "seq":

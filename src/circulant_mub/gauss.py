@@ -13,6 +13,16 @@ reciprocity trades S(a, b, d) for a sum of length a,
 valid for a*d != 0 and a*d + b even.  The verify_* helpers measure how far
 the relevant absolute values are from sqrt(d); for coprime parameters they
 must vanish up to rounding.
+
+_direct is a row kernel: for ints a and b it returns S(a, b, d), for int64
+arrays one sum per entry of their broadcast, gathered from the root table of
+d a block of _BLOCK exponents at a time so that memory stays bounded.  Each
+row equals the scalar sum bit for bit.  _quarter_phase and _one_step take an
+int or an int64 array b the same way.  The arithmetic is exact: ints are
+reduced (mod 2d, mod 4ad for the quarter phase) before they meet int64, and
+int64 products are of residues.  A caller with b beyond int64 reduces it mod
+4ad as a Python int, which fixes b mod 2d, b mod 2a and b**2 mod 8ad, since
+(b + 4ad)**2 = b**2 + 8ad*(b + 2ad).
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from .linalg import build_triangular_diagonal
 from .phase_ring import _check_dimension, root_table, triangular_phase
 
 _DIRECT_CUTOFF = 64
+_BLOCK = 1 << 16  # exponents gathered at once by a batched _direct
 
 
 def is_prime(n: int) -> bool:
@@ -72,13 +83,31 @@ class GaussSumSpec:
             raise ValueError(f"modulus d must be >= 1, got {self.d}")
 
 
-def _direct(a: int, b: int, d: int) -> complex:
+def _direct(a, b, d: int):
+    """S(a, b, d) for ints a and b; for int64 arrays, one sum per entry of
+    the broadcast of a and b, with the shape of that broadcast."""
     # each factor is reduced mod 2d before the next product (the phase_ring
     # order), so no int64 intermediate reaches 6*d**2
-    m = 2 * d
+    m = 2 * int(d)
     j = np.arange(d, dtype=np.int64)
-    t = ((a % m) * (j * j % m) + (b % m) * j) % m
-    return complex(root_table(d)[t].sum())
+    squares = j * j % m
+
+    def row_sums(a_col, b_col):
+        t = a_col * squares
+        t += b_col * j
+        t %= m
+        return root_table(d)[t].sum(axis=-1)
+
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return complex(row_sums(a % m, b % m))
+    a_rows = a % m + 0 * b  # the broadcast of a and b, cheaper than broadcast_arrays
+    b_flat = (b % m + 0 * a).reshape(-1, 1)
+    a_flat = a_rows.reshape(-1, 1)
+    sums = np.empty(a_flat.shape[0], dtype=np.complex128)
+    step = max(1, _BLOCK // d)
+    for lo in range(0, sums.size, step):
+        sums[lo : lo + step] = row_sums(a_flat[lo : lo + step], b_flat[lo : lo + step])
+    return sums.reshape(a_rows.shape)
 
 
 def gauss_sum_direct(spec: GaussSumSpec) -> complex:
@@ -86,11 +115,26 @@ def gauss_sum_direct(spec: GaussSumSpec) -> complex:
     return _direct(spec.a, spec.b, spec.d)
 
 
-def _quarter_phase(a: int, b: int, d: int) -> complex:
-    # exp((i*pi/4)(sgn(a*d) - b**2/(a*d))): the exponent (|a*d| - b**2) / (4*a*d)
-    # is reduced mod 2 as an integer numerator mod 8*a*d before any float rounding.
-    frac = (abs(a * d) - b * b) % (8 * a * d) / (4 * a * d)
-    return cmath.exp(1j * math.pi * frac)
+def _quarter_phase(a: int, b, d: int):
+    """exp((i*pi/4)(sgn(a*d) - b**2/(a*d))) for an int b, or one per entry
+    of an int64 array b."""
+    # the exponent (|a*d| - b**2) / n, n = 4*a*d, is reduced mod 2 as an
+    # integer numerator mod 2n before any float rounding; b enters reduced
+    # mod n, which keeps b**2 mod 2n, and an array falls back to Python ints
+    # where the square of a residue would not fit in int64
+    n = 4 * a * d
+    if isinstance(b, np.ndarray) and n * n >= 2**63:
+        b = b.astype(object)
+    frac = (abs(a * d) - (b % n) ** 2) % (2 * n) / n
+    if not isinstance(b, np.ndarray):  # cmath.exp costs a tenth of a numpy call on one value
+        return cmath.exp(1j * math.pi * frac)
+    return np.exp(1j * np.pi * np.asarray(frac, dtype=np.float64))
+
+
+def _one_step(a: int, b, d: int):
+    """S(a, b, d) for a > 0 through one reciprocity step, as a length-a sum;
+    b is an int or an int64 array, as for _direct."""
+    return math.sqrt(d / a) * _quarter_phase(a, b, d) * _direct(-d, -b, a)
 
 
 def _geometric(a: int, b: int, d: int) -> complex:
@@ -151,8 +195,7 @@ def gauss_sum_reciprocity(spec: GaussSumSpec, recursive: bool = False) -> comple
         ).conjugate()
     if recursive:
         return _reciprocity_chain(a, b, d)
-    factor = math.sqrt(d / a) * _quarter_phase(a, b, d)
-    return factor * _direct(-d, -b, a)
+    return _one_step(a, b, d)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +248,23 @@ def verify_rotation_power_sums(d: int, k: int, m: int) -> tuple[float, float]:
 
     returned as a pair of deviations.
     """
+    dev_d, dev_k = _power_sum_deviations(d, [k], [m])
+    return float(dev_d[0, 0]), float(dev_k[0, 0])
+
+
+def _power_sum_deviations(d: int, ks: list[int], ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Both deviations of verify_rotation_power_sums as (k, m) arrays: the
+    length-d sums in one batch, the length-k sums in one batch per k."""
     if not is_prime(d) or d % 2 == 0:
         raise ValueError(f"need an odd prime dimension, got {d}")
-    if not 1 <= k <= d - 1:
-        raise ValueError(f"need 1 <= k <= d-1, got k={k}")
-    if abs(m) > d - 1:
-        raise ValueError(f"need |m| <= d-1, got m={m}")
-    b = k + 2 * m
-    dev_d = abs(abs(_direct(k, b, d)) - math.sqrt(d))
-    dev_k = abs(abs(_direct(-d, -b, k)) - math.sqrt(k))
-    return float(dev_d), float(dev_k)
+    for k in ks:
+        if not 1 <= k <= d - 1:
+            raise ValueError(f"need 1 <= k <= d-1, got k={k}")
+    for m in ms:
+        if abs(m) > d - 1:
+            raise ValueError(f"need |m| <= d-1, got m={m}")
+    k_col = np.array(ks, dtype=np.int64)[:, None]
+    b = k_col + 2 * np.array(ms, dtype=np.int64)
+    dev_d = np.abs(np.abs(_direct(k_col, b, d)) - math.sqrt(d))
+    dev_k = np.array([np.abs(np.abs(_direct(-d, -b_row, k)) - math.sqrt(k)) for k, b_row in zip(ks, b)])
+    return dev_d, dev_k

@@ -62,6 +62,18 @@ class Recipe(str, Enum):
     EVEN = "Even"
 
 
+class ConstructionError(RuntimeError):
+    """A member of a family failed the unitarity check at construction."""
+
+    def __init__(self, label: str, deviation: float, tolerance: float) -> None:
+        super().__init__(
+            f"basis {label} failed the unitarity check at construction "
+            f"(deviation {deviation:.3e}, tol {tolerance:.3e})"
+        )
+        self.label = label
+        self.deviation = deviation
+
+
 @dataclass(frozen=True, eq=False)
 class MubFamily:
     dimension: int
@@ -148,10 +160,7 @@ def build_family(d: int, tol: float | None = None) -> MubFamily:
         else:
             deviation = is_unitary(basis, tol).deviation
         if not deviation <= tol:
-            raise RuntimeError(
-                f"basis {label} failed the unitarity check at construction "
-                f"(deviation {deviation:.3e}, tol {tol:.3e})"
-            )
+            raise ConstructionError(label, deviation, tol)
     return MubFamily(dimension=int(d), bases=tuple(bases), recipe=recipe)
 
 

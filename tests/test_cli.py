@@ -8,12 +8,18 @@ import numpy as np
 import pytest
 
 from circulant_mub import (
+    DenseUnitary,
+    GaussSumSpec,
     build_family,
     canonical_form,
     default_tolerance,
     exhaustive_biunimodular,
+    gauss_sum_direct,
+    gauss_sum_reciprocity,
     get_dense_cap,
+    verify_triangular_trace,
 )
+from circulant_mub import mub
 from circulant_mub import cli
 from circulant_mub.cli import (
     EXIT_FAILURES,
@@ -254,6 +260,101 @@ def test_gauss_even_trace_powersums(capsys):
     assert main(["gauss", "powersums", "--d", "9"]) == EXIT_USAGE
 
 
+# The Gauss checks evaluate whole batches of sums at once; these oracles are
+# the per-triple loops they replaced, written against the scalar API.
+
+
+def scalar_reciprocity(a, d, b_span):
+    b_range = b_span if b_span is not None else range(-2 * d, 2 * d + 1)
+    b_values = [b for b in b_range if (a * d + b) % 2 == 0]
+    worst = 0.0
+    for b in b_values:
+        spec = GaussSumSpec(a, b, d)
+        worst = max(worst, abs(gauss_sum_direct(spec) - gauss_sum_reciprocity(spec)))
+    return len(b_values), worst
+
+
+def assert_matches_oracle(record, deviation, detail, tol=1e-9):
+    assert record["detail"] == detail
+    assert record["passed"] == (deviation <= tol)
+    assert abs(record["deviation"] - deviation) <= 1e-14
+
+
+HUGE_B = range(-(10**20), -(10**20) + 11)  # beyond int64, as --b=-100000000000000000000..-99999999999999999990
+
+
+@pytest.mark.parametrize(
+    "cases, b_span",
+    [
+        ([(a, d) for a in range(1, 21) for d in range(1, 51)], None),  # the benchmark workload
+        ([(1, 1), (5, 1), (20, 1)], None),  # d = 1
+        ([(7, 3), (30, 4), (100, 9)], None),  # a > d
+        ([(2, 5), (7, 3), (3, 8)], HUGE_B),
+        ([(1, 1), (3, 5)], range(-7, 8, 1)),
+    ],
+    ids=["a1-20-d1-50", "d-one", "a-above-d", "b-beyond-int64", "b-span"],
+)
+def test_reciprocity_check_matches_the_scalar_loop(cases, b_span):
+    for a, d in cases:
+        [record] = cli._reciprocity_check(a, d, b_span, 1e-9)
+        count, worst = scalar_reciprocity(a, d, b_span)
+        assert count > 0
+        assert_matches_oracle(record, worst, f"{count} parity-valid b values")
+
+
+def test_reciprocity_check_without_parity_valid_b_matches_the_scalar_loop():
+    for a, d, b_span in [(1, 2, range(1, 2)), (2, 1, range(1, 2)), (1, 1, range(-(10**20), -(10**20) + 1))]:
+        assert scalar_reciprocity(a, d, b_span)[0] == 0
+        [record] = cli._reciprocity_check(a, d, b_span, 1e-9)
+        assert record["passed"] is None and record["deviation"] is None
+        assert record["detail"] == "0 parity-valid b values"
+
+
+def test_huge_b_span_runs_end_to_end(capsys):
+    code, doc = run_json(
+        capsys, ["gauss", "reciprocity", "--a", "1..3", "--d", "1..4", "--b=-100000000000000000000..-99999999999999999990"]
+    )
+    assert code == EXIT_OK
+    assert doc["summary"] == {"total": 12, "passed": 12, "failed": 0, "informational": 0}
+
+
+def scalar_power_sums(d, ks, ms):
+    worst = 0.0
+    for k in ks:
+        for m in ms:
+            b = k + 2 * m
+            worst = max(
+                worst,
+                abs(abs(gauss_sum_direct(GaussSumSpec(k, b, d))) - math.sqrt(d)),
+                abs(abs(gauss_sum_direct(GaussSumSpec(-d, -b, k))) - math.sqrt(k)),
+            )
+    return worst
+
+
+def test_powersums_check_matches_the_scalar_loop():
+    for d in (3, 5, 7, 11, 13, 31, 61, 97, 113):
+        [record] = cli._powersums_check(d, None, None, 1e-9)
+        assert_matches_oracle(record, scalar_power_sums(d, range(1, d), range(-2, 3)), f"{d - 1} powers x 5 offsets, both moduli")
+    [record] = cli._powersums_check(13, range(3, 7), range(-12, 13), 1e-9)
+    assert_matches_oracle(record, scalar_power_sums(13, range(3, 7), range(-12, 13)), "4 powers x 25 offsets, both moduli")
+    with pytest.raises(ValueError, match="k=13"):
+        cli._powersums_check(13, range(1, 14), None, 1e-9)
+    with pytest.raises(ValueError, match="m=13"):
+        cli._powersums_check(13, None, range(13, 14), 1e-9)
+
+
+def test_trace_check_matches_the_scalar_loop():
+    for d in range(3, 200, 2):
+        ks = [k for k in range(1, d) if math.gcd(k, d) == 1]
+        [record] = cli._trace_check(d, ks, 1e-9)
+        worst = max(verify_triangular_trace(d, k) for k in ks)
+        assert_matches_oracle(record, worst, f"max over {len(ks)} coprime powers")
+    # multipliers beyond int64 enter reduced mod 2d
+    ks = [k for k in range(-(10**20), -(10**20) + 40) if math.gcd(k, 21) == 1]
+    [record] = cli._trace_check(21, ks, 1e-9)
+    assert_matches_oracle(record, max(verify_triangular_trace(21, k) for k in ks), f"max over {len(ks)} coprime powers")
+
+
 def test_seq_gauss_verdicts(capsys):
     code, doc = run_json(capsys, ["seq", "gauss", "--d", "9"])
     assert code == EXIT_OK
@@ -386,7 +487,7 @@ def test_tolerance_flag_and_environment(capsys, monkeypatch):
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
-    def broken(d):
+    def broken(d, tol=None):
         raise RuntimeError("construction broke")
 
     monkeypatch.setattr(cli, "build_family", broken)
@@ -398,8 +499,32 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert EXIT_INTERNAL not in (EXIT_OK, EXIT_FAILURES, EXIT_USAGE)
 
 
+def test_construction_check_uses_the_run_tolerance(capsys, monkeypatch):
+    # a Fourier member off unitarity by about 2e-7: at the default tolerance
+    # the construction check fails, which is a failed record, not a crash
+    fourier = mub.build_fourier
+
+    def skewed(d):
+        return DenseUnitary(d, fourier(d).entries * (1 + 1e-7))
+
+    monkeypatch.setattr(mub, "build_fourier", skewed)
+    for argv in (["verify", "--dims", "5"], ["build", "--dim", "5"]):
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_FAILURES
+        failed = [r for r in doc["records"] if r["passed"] is False]
+        assert [(r["check"], r["case"]) for r in failed] == [("member-unitary", {"d": 5, "basis": "F"})]
+        assert failed[0]["deviation"] == pytest.approx(2e-7, rel=1e-3)
+        assert failed[0]["tolerance"] == default_tolerance(5, 1e-9)
+        assert "family" not in doc
+    # a looser --tol admits the member at construction as it does everywhere else
+    code, doc = run_json(capsys, ["verify", "--dims", "5", "--tol", "1e-3"])
+    assert code == EXIT_OK
+    assert "member-unitary" not in {r["check"] for r in doc["records"]}
+    assert run_json(capsys, ["build", "--dim", "5", "--tol", "1e-3"])[1]["family"]["dimension"] == 5
+
+
 def test_unwritable_output_is_a_usage_error_found_before_any_check(tmp_path, capsys, monkeypatch):
-    def never(d):
+    def never(d, tol=None):
         raise AssertionError("a check ran before the destination was opened")
 
     monkeypatch.setattr(cli, "build_family", never)

@@ -24,7 +24,8 @@ from circulant_mub import (
     square_phase,
     triangular_phase,
 )
-from circulant_mub.gauss import _quarter_phase
+from circulant_mub import gauss
+from circulant_mub.gauss import _direct, _one_step, _quarter_phase
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=100)
 HUGE = 10**30
@@ -134,6 +135,65 @@ def test_quarter_phase_matches_fraction_formula(a, b, d):
     # reference: (|a*d| - b**2) / (4*a*d) reduced mod 2 as an exact rational
     frac = Fraction(abs(a * d) - b * b, 4 * a * d) % 2
     assert _quarter_phase(a, b, d) == cmath.exp(1j * math.pi * float(frac))
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+coefficient = INT64 | st.integers(-HUGE, HUGE)
+
+
+def as_int64(values, n):
+    # a Python int beyond int64 enters a batch reduced mod n, as the CLI does
+    return np.array([v if -(2**63) <= v < 2**63 else v % n for v in values], dtype=np.int64)
+
+
+def assert_rows_match_scalar(a_values, b_values, d):
+    m = 2 * d
+    rows = _direct(as_int64(a_values, m)[:, None], as_int64(b_values, m), d)
+    assert rows.shape == (len(a_values), len(b_values))
+    assert rows.tolist() == [[_direct(a, b, d) for b in b_values] for a in a_values]
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    d=st.integers(1, 300),
+    a_values=st.lists(coefficient, min_size=1, max_size=4),
+    b_values=st.lists(coefficient, min_size=1, max_size=8),
+)
+def test_batched_direct_rows_equal_the_scalar_sum_bit_for_bit(d, a_values, b_values):
+    assert_rows_match_scalar(a_values, b_values, d)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    a=st.integers(1, 10**5),
+    d=st.integers(1, 10**5),
+    b_values=st.lists(coefficient, min_size=1, max_size=8),
+)
+def test_batched_reciprocity_rows_match_the_scalar_step(a, d, b_values):
+    # b mod 4ad fixes b mod 2d, b mod 2a and b**2 mod 8ad; the quarter phases
+    # agree bit for bit, the product of the three factors up to its rounding
+    b_values = [b - (a * d + b) % 2 for b in b_values]
+    b = as_int64(b_values, 4 * a * d)
+    assert _quarter_phase(a, b, d).tolist() == [_quarter_phase(a, v, d) for v in b_values]
+    if a <= 300:
+        scalar = np.array([_one_step(a, v, d) for v in b_values])
+        assert np.abs(_one_step(a, b, d) - scalar).max() <= 1e-14 * math.sqrt(d)
+
+
+def test_batched_direct_rows_across_block_seams(monkeypatch):
+    # a block of a few exponents holds at most one or two rows, so every
+    # batch below is cut into many blocks
+    monkeypatch.setattr(gauss, "_BLOCK", 5)
+    for d in (1, 2, 3, 7):
+        assert_rows_match_scalar([-(10**25), -3, 0, 1, 2 * d + 1], [-(2**63), -5, 0, 4, 10**30, 2**63 - 1], d)
+
+
+def test_quarter_phase_rows_beyond_int64_squares():
+    # (4ad)**2 exceeds int64 here, so the residues are squared as Python ints
+    a, d = 10**6, 10**5
+    b_values = [-(10**25), -7, 0, 3, 10**30 + 1]
+    b = np.array([v % (4 * a * d) for v in b_values], dtype=np.int64)
+    assert _quarter_phase(a, b, d).tolist() == [_quarter_phase(a, v, d) for v in b_values]
 
 
 @st.composite
