@@ -12,13 +12,15 @@ _plan turns the arguments into checks, one per case: plain functions of the
 case and the tolerance base that return records.  A record is a plain dict
 (check, case, passed, deviation, tolerance, detail, elapsed_s); _bounded
 holds the one pass rule, deviation <= tolerance, and passed is None on an
-informational record.  _run times each check on up to --parallelism threads
-and sorts the records by (check, case), so reports are deterministic whatever
-the parallelism.  main() then puts the report together once, as one plain
-mub-report/1 dict (config, records, summary and, for build, the MubFamily
-itself), and the json, text and csv renderers write that dict straight into
-the --output file or stdout, which is opened before any check runs.  json and
-text write each member as scale * entries, csv the member's own entries.
+informational record.  _run times each check in turn and sorts the records
+by (check, case), so reports are deterministic.  main() then puts the report
+together once, as one plain mub-report/1 dict (config, records, summary and,
+for build, the MubFamily itself), and the json, text and csv renderers write
+that dict straight into the --output file or stdout, which is opened before
+any check runs.  json and text write each member as scale * entries, csv the
+member's own entries.  The json writer emits the bytes of
+json.dump(doc, indent=2) one top-level key, record and family member at a
+time, and formats each distinct matrix entry once.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 (a bad argument or an --output path that cannot be opened), 3 internal error
 (an unexpected exception, reported with its traceback on stderr).
@@ -34,15 +36,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -176,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None, help="tolerance base (default 1e-9, or MUB_DEFAULT_TOL)")
     common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
     common.add_argument("--output", default=None, help="write the report to this file instead of stdout")
-    common.add_argument("--parallelism", type=int, default=1, help="worker threads for independent checks")
     common.add_argument("--dense-cap", type=int, default=512, help="largest dimension materialized densely")
 
     parser = argparse.ArgumentParser(
@@ -614,30 +614,20 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
             if not primes:
                 raise UsageError("powersums mode needs at least one odd prime in --d")
             checks = [partial(_powersums_check, d, k_span, m_span, base_tol) for d in primes]
-    if args.parallelism < 1:
-        raise UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
     return checks, payload
 
 
-def _run(checks: list, parallelism: int) -> list[dict]:
-    """Run the checks on at most `parallelism` threads; stamp every record
-    with the wall time of the check that produced it and sort by (check, case)."""
-
-    def timed(check) -> list[dict]:
+def _run(checks: list) -> list[dict]:
+    """Run the checks in turn; stamp every record with the wall time of the
+    check that produced it and sort by (check, case)."""
+    records = []
+    for check in checks:
         started = time.perf_counter()
-        records = check()
+        group = check()
         elapsed = round(time.perf_counter() - started, 6)
-        for record in records:
+        for record in group:
             record["elapsed_s"] = elapsed
-        return records
-
-    workers = min(parallelism, len(checks))
-    if workers <= 1:
-        groups = [timed(check) for check in checks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(timed, checks))
-    records = [record for group in groups for record in group]
+        records.extend(group)
     records.sort(key=sort_key)
     return records
 
@@ -680,11 +670,14 @@ def _render_csv(doc: dict, handle) -> None:
     writer = csv.writer(handle)
     if "family" in doc:
         writer.writerow(["basis", "row", "col", "re", "im"])
+        # the rows csv.writer writes for [label, i, j, re, im]: floats as
+        # repr, and the labels (I, F, Y, R, R^k) need no quoting
+        d = doc["family"].dimension
+        positions = np.array([f"{i},{j}," for i in range(d) for j in range(d)], dtype=object)
         for label, basis in doc["family"].bases:
-            entries = as_matrix(basis)
-            for i, (re_row, im_row) in enumerate(zip(entries.real.tolist(), entries.imag.tolist())):
-                for j, cell in enumerate(zip(re_row, im_row)):
-                    writer.writerow([label, i, j, *cell])
+            cells = _entry_texts(as_matrix(basis), lambda re, im: f"{re!r},{im!r}")
+            rows = (positions + cells.ravel()).tolist()
+            handle.write(f"{label}," + f"\r\n{label},".join(rows) + "\r\n")
     else:
         writer.writerow(["check", "case", "passed", "deviation", "tolerance", "elapsed_s", "detail"])
         for r in doc["records"]:
@@ -701,13 +694,71 @@ def _render_csv(doc: dict, handle) -> None:
             )
 
 
-def _json_default(obj):
-    """Serialize what json cannot: the family, and complex matrices as [re, im] pairs."""
-    if isinstance(obj, MubFamily):
-        return _family_payload(obj)
-    if isinstance(obj, np.ndarray):
-        return np.stack([obj.real, obj.imag], axis=-1).tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+_INDENT = "  "
+
+
+def _entry_texts(entries: np.ndarray, cell) -> np.ndarray:
+    """cell(re, im) for every entry of a complex matrix, as an object array of
+    the matrix's shape.  cell runs once per distinct (re, im) bit pattern:
+    comparing bits, not values, keeps -0.0 apart from 0.0."""
+    pairs = np.ascontiguousarray(entries, dtype=np.complex128).view(np.uint64).reshape(-1, 2)
+    distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    texts = np.array([cell(re, im) for re, im in distinct.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.reshape(entries.shape)]
+
+
+def _json_text(value, level: int = 0) -> str:
+    """value as json.dump(value, indent=2) writes it at nesting depth level; a
+    complex matrix (2-D, non-empty) is written as rows of [re, im] pairs."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = "\n" + _INDENT * (level + 1)
+    if isinstance(value, np.ndarray):
+        row, cell = "\n" + _INDENT * (level + 2), "\n" + _INDENT * (level + 3)
+        grid = _entry_texts(value, lambda re, im: f"[{cell}{_json_text(re)},{cell}{_json_text(im)}{row}]")
+        items, brackets = [f"[{row}" + f",{row}".join(cells) + f"{inner}]" for cells in grid.tolist()], "[]"
+    elif isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, level + 1) for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json_text(v, level + 1) for v in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + f",{inner}".join(items) + "\n" + _INDENT * level + brackets[1]
+
+
+def _write_json(value, write, level: int = 0) -> None:
+    """Write _json_text(value, level) without ever holding it as one string:
+    a dict one key at a time, a list one whole item at a time, and a
+    MubFamily as its _family_payload."""
+    if isinstance(value, MubFamily):
+        value = _family_payload(value)
+    inner = "\n" + _INDENT * (level + 1)
+    if isinstance(value, dict) and value:
+        separator = "{" + inner
+        for key, item in value.items():
+            write(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(item, write, level + 1)
+            separator = "," + inner
+        write("\n" + _INDENT * level + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        separator = "[" + inner
+        for item in value:
+            write(separator + _json_text(item, level + 1))
+            separator = "," + inner
+        write("\n" + _INDENT * level + "]")
+    else:
+        write(_json_text(value, level))
 
 
 def _destination(output: str | None):
@@ -726,7 +777,7 @@ def _emit(doc: dict, handle) -> None:
     """Render the report straight into its open destination."""
     fmt = doc["config"]["format"]
     if fmt == "json":
-        json.dump(doc, handle, indent=2, default=_json_default)
+        _write_json(doc, handle.write)
         handle.write("\n")
     elif fmt == "csv":
         _render_csv(doc, handle)
@@ -744,16 +795,15 @@ def main(argv: list[str] | None = None) -> int:
         set_dense_cap(args.dense_cap)
         checks, payload = _plan(args, base_tol)
         with _destination(args.output) as handle:
-            records = _run(checks, args.parallelism)
+            records = _run(checks)
             config = {
                 "tolerance_base": base_tol,
-                "parallelism": args.parallelism,
                 "dense_cap": args.dense_cap,
                 "format": args.fmt,
                 "output": args.output,
             }
             # then every remaining argument that was given, in name order
-            listed = {"tol", "fmt", "output", "parallelism", "dense_cap", "command"}
+            listed = {"tol", "fmt", "output", "dense_cap", "command"}
             config.update((k, v) for k, v in sorted(vars(args).items()) if k not in listed and v is not None)
             doc = {
                 "schema": SCHEMA,

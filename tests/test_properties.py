@@ -1,9 +1,12 @@
 """Property tests: the int64 exponent arithmetic against Python-int formulas,
 reciprocity against the direct Gauss sum on random parameters, every Gauss
-sum path against a 30-digit mpmath oracle, and the matrix <-> sequence
-equivalence for rotation powers."""
+sum path against a 30-digit mpmath oracle, the matrix <-> sequence
+equivalence for rotation powers, and the streaming json writer against
+json.dump."""
 
 import cmath
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -24,7 +27,7 @@ from circulant_mub import (
     square_phase,
     triangular_phase,
 )
-from circulant_mub import gauss
+from circulant_mub import cli, gauss
 from circulant_mub.gauss import _direct, _one_step, _quarter_phase
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=100)
@@ -212,3 +215,45 @@ def test_rotation_power_is_hadamard_iff_biunimodular_iff_coprime(dk):
     hadamard = is_unitary_hadamard(power.to_dense()).passed
     biunimodular = is_biunimodular(math.sqrt(d) * power.first_column).passed
     assert hadamard == biunimodular == (math.gcd(k, d) == 1)
+
+
+# floats json spells out (signed zeros, NaN, infinities, subnormals and
+# 17-digit values) plus any other double
+json_float = st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.225073858507201e-308, 0.1 + 0.2, 1 / 3, 1e16]
+) | st.floats()
+json_string = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e ab') | st.characters(), max_size=6)
+json_scalar = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | json_float | json_string
+
+
+@st.composite
+def complex_matrix(draw):
+    # entries drawn from a small pool repeat, from the whole of json_float
+    # they are mostly distinct
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.sampled_from([st.sampled_from([0.0, -0.0, 1.0, 0.5]), json_float]))
+    values = draw(st.lists(parts, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(values, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+
+
+json_doc = st.recursive(
+    json_scalar | complex_matrix(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_string, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def json_dump_default(obj):
+    """The json.dump hook for matrices that the streaming writer replaced."""
+    return np.stack([obj.real, obj.imag], axis=-1).tolist()
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(doc=st.dictionaries(json_string, json_doc, max_size=3), records=st.lists(json_doc, max_size=3))
+def test_json_writer_matches_json_dump(doc, records):
+    doc["records"] = records
+    expected = io.StringIO()
+    json.dump(doc, expected, indent=2, default=json_dump_default)
+    written = io.StringIO()
+    cli._write_json(doc, written.write)
+    assert written.getvalue() == expected.getvalue()
