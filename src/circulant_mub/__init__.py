@@ -27,13 +27,11 @@ from .linalg import (
     circulant_power,
     default_tolerance,
     diagonalize_circulant,
-    get_dense_cap,
     is_unitary,
     is_unitary_hadamard,
     multiply,
     power,
     rotation_scalar,
-    set_dense_cap,
 )
 from .sequences import (
     BiunimodularityReport,

@@ -29,7 +29,9 @@ The --tol flag (or the MUB_DEFAULT_TOL environment variable) sets the
 tolerance base; matrix identity checks scale it by sqrt(d), scalar Gauss
 sum checks use it as an absolute bound.  The family checks build the family at
 the scaled tolerance, and a member that fails its unitarity check at
-construction is a failed member-unitary record.
+construction is a failed member-unitary record.  --dense-cap bounds the
+dimensions build, verify and sweep accept; _plan refuses a larger one as a
+usage error before any check is built.
 """
 
 from __future__ import annotations
@@ -72,11 +74,9 @@ from .linalg import (
     circulant_power,
     default_tolerance,
     diagonalize_circulant,
-    get_dense_cap,
     multiply,
     power,
     rotation_scalar,
-    set_dense_cap,
 )
 from .mub import ConstructionError, MubFamily, Recipe, build_family, negative_check_even, verify_family
 from .phase_ring import root_table
@@ -542,14 +542,27 @@ def _odd_dims(dims: range, what: str) -> list[int]:
     return odd_dims
 
 
+def _check_cap(dims: range, cap: int) -> None:
+    """Refuse a dimension span that reaches above --dense-cap: the family
+    and identity checks materialize d x d matrices."""
+    if dims[-1] > cap:
+        raise UsageError(
+            f"dimension {max(dims[0], cap + 1)} exceeds the dense materialization cap {cap}; "
+            "raise it with --dense-cap if this is intentional"
+        )
+
+
 def _plan(args, base_tol: float) -> tuple[list, dict]:
     """Validate the arguments and turn them into zero-argument checks, plus
     the document body a build check fills in (empty for other commands)."""
     payload = {}
     checks = []
+    if args.dense_cap < 1:
+        raise UsageError(f"--dense-cap must be >= 1, got {args.dense_cap}")
     if args.command == "build":
         if args.dim < 2:
             raise UsageError(f"--dim must be >= 2, got {args.dim}")
+        _check_cap(range(args.dim, args.dim + 1), args.dense_cap)
         checks = [partial(_built_family_records, args.dim, base_tol, payload)]
     elif args.command == "search":
         checks = [partial(_search_records, args.dim, args.alphabet, base_tol)]
@@ -565,6 +578,7 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
             raise UsageError("--expect-negative r-squared needs an even dimension >= 4 in --dims")
         if dims.start < 2:
             raise UsageError(f"verification needs dimensions >= 2, got span starting at {dims.start}")
+        _check_cap(dims, args.dense_cap)
         checks = [partial(_verify_check, d, base_tol) for d in dims]
         if args.command == "sweep":
             for d in dims:
@@ -789,10 +803,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    previous_cap = get_dense_cap()
     try:
         base_tol = _resolve_tol(args.tol)
-        set_dense_cap(args.dense_cap)
         checks, payload = _plan(args, base_tol)
         with _destination(args.output) as handle:
             records = _run(checks)
@@ -823,8 +835,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-    finally:
-        set_dense_cap(previous_cap)
     return EXIT_FAILURES if doc["summary"]["failed"] else EXIT_OK
 
 

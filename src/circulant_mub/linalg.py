@@ -27,29 +27,6 @@ import numpy as np
 
 from .phase_ring import _check_dimension, root_table, square_phase, triangular_phase
 
-_dense_cap = 512
-
-
-def set_dense_cap(n: int) -> None:
-    """Raise or lower the largest dimension allowed to materialize densely."""
-    global _dense_cap
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dense cap must be a positive integer, got {n!r}")
-    _dense_cap = n
-
-
-def get_dense_cap() -> int:
-    return _dense_cap
-
-
-def _check_cap(d: int) -> None:
-    if d > _dense_cap:
-        raise ValueError(
-            f"dimension {d} exceeds the dense materialization cap {_dense_cap}; "
-            "raise it with --dense-cap (or set_dense_cap) if this is intentional"
-        )
-
-
 def default_tolerance(d: int, base: float = 1e-9) -> float:
     """Deviation budget base * sqrt(d): matrix checks accumulate error
     over d-term sums, so the budget grows with the dimension."""
@@ -83,7 +60,6 @@ class CirculantMatrix:
     first_column: np.ndarray
 
     def to_dense(self) -> np.ndarray:
-        _check_cap(self.dimension)
         idx = np.arange(self.dimension)
         return self.first_column[(idx[:, None] - idx[None, :]) % self.dimension]
 
@@ -103,7 +79,6 @@ class DiagonalUnitary:
         return root_table(self.dimension)[self.exponents]
 
     def to_dense(self) -> np.ndarray:
-        _check_cap(self.dimension)
         return np.diag(self.values())
 
     def power(self, n: int) -> "DiagonalUnitary":
@@ -135,7 +110,6 @@ def _freeze(entries: np.ndarray) -> np.ndarray:
 def build_fourier(d: int) -> DenseUnitary:
     """F[j,k] = d**-0.5 * omega**(j*k)."""
     _check_dimension(d)
-    _check_cap(d)
     idx = np.arange(d, dtype=np.int64)
     t = (2 * np.outer(idx, idx)) % (2 * d)
     entries = root_table(d)[t] / math.sqrt(d)
@@ -199,7 +173,6 @@ def build_phased_fourier(d: int, k: int) -> DenseUnitary:
     _check_dimension(d)
     if d % 2 == 0:
         raise ValueError(f"phased Fourier requires odd dimension, got {d}")
-    _check_cap(d)
     j = np.arange(d, dtype=np.int64)
     t = (2 * np.outer(j, j) + triangular_phase(j, -k, d)[:, None]) % (2 * d)
     entries = root_table(d)[t] / math.sqrt(d)
@@ -209,7 +182,6 @@ def build_phased_fourier(d: int, k: int) -> DenseUnitary:
 def build_index_reversal(d: int) -> DenseUnitary:
     """Permutation fixing index 0 and sending j to d - j; equals F squared."""
     _check_dimension(d)
-    _check_cap(d)
     entries = np.zeros((d, d), dtype=np.complex128)
     entries[0, 0] = 1.0
     for j in range(1, d):

@@ -17,11 +17,10 @@ Every member R**k and, for d >= 3, the identity are circulants and stay
 stored by their first column; F, and every member at d = 2, are dense.  The
 verifier never trusts the construction: for each pair it measures the two
 defects of is_unitary_hadamard on A* B, the worst entry of |Gram - I| and of
-||entry| - d**-0.5|, in a form chosen by the members' types.  For two
-circulants A* B is the circulant of spectrum conj(s_a) s_b, so both defects
-are read off first columns in O(d log d); a dense member against a circulant
-goes through the FFT form of the product; two dense members are multiplied
-densely.
+||entry| - d**-0.5|.  For two circulants A* B is the circulant of spectrum
+conj(s_a) s_b, so both defects are read off first columns in O(d log d);
+every pair with a dense member is multiplied densely and checked by
+is_unitary_hadamard itself.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .linalg import (
     _circulant_hadamard_deviation,
     _freeze,
     adjoint,
-    as_matrix,
     build_fourier,
     build_rotation,
     circulant_deviation,
@@ -164,63 +162,15 @@ def build_family(d: int, tol: float | None = None) -> MubFamily:
     return MubFamily(dimension=int(d), bases=tuple(bases), recipe=recipe)
 
 
-def _hadamard_deviation(product: np.ndarray, gram: np.ndarray) -> float:
-    """is_unitary_hadamard's deviation of a dense product, given its Gram matrix."""
-    d = product.shape[0]
-    unitary = np.abs(gram - np.eye(d)).max()
-    modulus = np.abs(np.abs(product) - 1.0 / math.sqrt(d)).max()
-    return float(max(unitary, modulus))
-
-
-def _circulant_row(spectrum: np.ndarray, later: list, spectra: list) -> list[float]:
-    """Deviations of A* B for a circulant A of the given spectrum against
-    each later member B (spectra[j] is None for a dense B)."""
-    deviations = [0.0] * len(later)
-    circulants = [j for j, s in enumerate(spectra) if s is not None]
-    if circulants:
-        # A* B is the circulant of spectrum conj(s_a) s_b: the whole row at once
-        product = np.conj(spectrum) * np.array([spectra[j] for j in circulants])
-        row = _circulant_hadamard_deviation(np.fft.ifft(product, axis=-1), product)
-        for j, deviation in zip(circulants, row.tolist()):
-            deviations[j] = deviation
-    for j, b in enumerate(later):
-        if spectra[j] is None:
-            # A* is the circulant of spectrum conj(s_a), applied to B's columns
-            product = np.fft.ifft(np.conj(spectrum)[:, None] * np.fft.fft(as_matrix(b), axis=0), axis=0)
-            deviations[j] = _hadamard_deviation(product, product.conj().T @ product)
-    return deviations
-
-
-def _dense_row(a, later: list, spectra: list, tol: float) -> list[float]:
-    """Deviations of A* B for a dense A against each later member B."""
-    a_adj = adjoint(a)
-    if any(s is not None for s in spectra):
-        # with C = ifft . diag(s) . fft, M C = fft(ifft(M, rows) * s, rows); the
-        # Gram C* (A A*) C is conjugated by the DFT once, so each pair costs
-        # three FFTs of a d x d array
-        rows = np.fft.ifft(a_adj.entries, axis=1)
-        gram_hat = np.fft.fft(np.fft.ifft(as_matrix(a) @ a_adj.entries, axis=1), axis=0)
-    deviations = []
-    for b, s in zip(later, spectra):
-        if s is None:
-            deviations.append(is_unitary_hadamard(multiply(a_adj, b), tol).deviation)
-        else:
-            product = np.fft.fft(rows * s, axis=1)
-            gram = np.fft.fft(np.fft.ifft(np.conj(s)[:, None] * gram_hat * s, axis=0), axis=1)
-            deviations.append(_hadamard_deviation(product, gram))
-    return deviations
-
-
 def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessReport:
     """Measure unbiasedness of every pair of bases in the family.
 
     For each unordered pair (A, B) the deviation is is_unitary_hadamard's on
-    A* B: the worse of max |Gram - I| and max ||entry| - d**-0.5|.  How it is
-    measured depends on the members' types.  Two circulants: from first
-    columns and spectra, one row of pairs at a time.  A circulant and a dense
-    member: through the FFT form of the product.  Two dense members: from the
-    dense product.  Pairs against the identity therefore re-check that each
-    other member is itself unitary Hadamard.
+    A* B: the worse of max |Gram - I| and max ||entry| - d**-0.5|.  Two
+    circulants: from first columns and spectra, one row of pairs at a time.
+    Any pair with a dense member: is_unitary_hadamard on the dense product.
+    Pairs against the identity therefore re-check that each other member is
+    itself unitary Hadamard.
     """
     d = family.dimension
     if tol is None:
@@ -231,13 +181,21 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
     spectra = [diagonalize_circulant(b) if isinstance(b, CirculantMatrix) else None for b in members]
     pairs = []
     for i, (label_a, a) in enumerate(family.bases):
-        later, later_spectra = members[i + 1 :], spectra[i + 1 :]
-        if spectra[i] is None:
-            deviations = _dense_row(a, later, later_spectra, tol)
-        else:
-            deviations = _circulant_row(spectra[i], later, later_spectra)
-        for (label_b, _), deviation in zip(family.bases[i + 1 :], deviations):
-            pairs.append(PairCheck(label_a, label_b, deviation, deviation <= tol))
+        later = range(i + 1, len(members))
+        deviations = {}
+        circulants = [j for j in later if spectra[j] is not None] if spectra[i] is not None else []
+        if circulants:
+            # A* B is the circulant of spectrum conj(s_a) s_b: the whole row at once
+            product = np.conj(spectra[i]) * np.array([spectra[j] for j in circulants])
+            row = _circulant_hadamard_deviation(np.fft.ifft(product, axis=-1), product)
+            deviations = dict(zip(circulants, row.tolist()))
+        dense = [j for j in later if j not in deviations]
+        if dense:
+            a_adj = adjoint(a)  # once per row, and never for a row of circulants alone
+            for j in dense:
+                deviations[j] = is_unitary_hadamard(multiply(a_adj, members[j]), tol).deviation
+        for j in later:
+            pairs.append(PairCheck(label_a, family.bases[j][0], deviations[j], deviations[j] <= tol))
     return UnbiasednessReport(
         dimension=d,
         tolerance=tol,

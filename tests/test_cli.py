@@ -18,7 +18,6 @@ from circulant_mub import (
     exhaustive_biunimodular,
     gauss_sum_direct,
     gauss_sum_reciprocity,
-    get_dense_cap,
     verify_triangular_trace,
 )
 from circulant_mub import mub
@@ -582,21 +581,38 @@ def test_unwritable_output_is_a_usage_error_found_before_any_check(tmp_path, cap
     assert capsys.readouterr().err.startswith("error: cannot write --output")
 
 
-def test_dense_cap_flag(capsys):
+def test_dense_cap_flag(capsys, monkeypatch, tmp_path):
     assert main(["build", "--dim", "20", "--dense-cap", "10"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
     # the message names the flag a CLI user can pass, not only the API call
     assert main(["verify", "--dims", "7", "--dense-cap", "5"]) == EXIT_USAGE
     assert "--dense-cap" in capsys.readouterr().err
+    assert main(["gauss", "even", "--d", "2", "--dense-cap", "0"]) == EXIT_USAGE
+    assert "--dense-cap" in capsys.readouterr().err
+
+    # the span is refused before any check is built or run, and before the
+    # report file is opened
+    def never(d, tol=None):
+        raise RuntimeError("a check ran despite the cap")
+
+    monkeypatch.setattr(cli, "build_family", never)
+    target = tmp_path / "capped.json"
+    for command in ("verify", "sweep"):
+        argv = [command, "--dims", "2..9", "--dense-cap", "8", "--output", str(target)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: dimension 9 exceeds the dense materialization cap 8; "
+            "raise it with --dense-cap if this is intentional\n"
+        )
+        assert not target.exists()
 
 
 def test_dense_cap_is_restored_after_each_run(capsys):
-    before = get_dense_cap()
     assert main(["verify", "--dims", "3", "--dense-cap", "8"]) == EXIT_OK
-    assert get_dense_cap() == before
     assert build_family(11).dimension == 11
     assert main(["build", "--dim", "20", "--dense-cap", "10"]) == EXIT_USAGE
-    assert get_dense_cap() == before
 
 
 def test_missing_required_arguments_exit_two(capsys):

@@ -22,14 +22,12 @@ from circulant_mub import (
     default_tolerance,
     diagonalize_circulant,
     gauss_sequence,
-    get_dense_cap,
     is_unitary,
     is_unitary_hadamard,
     multiply,
     power,
     root_table,
     rotation_scalar,
-    set_dense_cap,
 )
 
 
@@ -353,21 +351,6 @@ def test_default_tolerance_scales_with_sqrt_d():
     assert default_tolerance(9, base=1e-6) == pytest.approx(3e-6)
     with pytest.raises(ValueError):
         default_tolerance(4, base=0.0)
-
-
-def test_dense_cap_enforced():
-    previous = get_dense_cap()
-    try:
-        set_dense_cap(8)
-        with pytest.raises(ValueError):
-            build_fourier(9)
-        with pytest.raises(ValueError):
-            build_shift(16).to_dense()
-        assert build_fourier(8).dimension == 8
-    finally:
-        set_dense_cap(previous)
-    with pytest.raises(ValueError):
-        set_dense_cap(0)
 
 
 def test_builder_dimension_validation():
