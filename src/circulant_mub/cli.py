@@ -27,11 +27,12 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 
 The --tol flag (or the MUB_DEFAULT_TOL environment variable) sets the
 tolerance base; matrix identity checks scale it by sqrt(d), scalar Gauss
-sum checks use it as an absolute bound.  The family checks build the family at
-the scaled tolerance, and a member that fails its unitarity check at
-construction is a failed member-unitary record.  --dense-cap bounds the
-dimensions build, verify and sweep accept; _plan refuses a larger one as a
-usage error before any check is built.
+sum checks use it as an absolute bound.  A family is built unchecked and
+measured once, by its pair-unbiased records: the pair of the identity with a
+member measures that member's own unitarity.  --dense-cap bounds the
+dimensions build, verify and sweep accept; _plan refuses a larger one, and
+powersums and search arguments outside what their checks accept, as a usage
+error before any check is built.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from .linalg import (
     power,
     rotation_scalar,
 )
-from .mub import ConstructionError, MubFamily, Recipe, build_family, negative_check_even, verify_family
+from .mub import MubFamily, Recipe, build_family, negative_check_even, verify_family
 from .phase_ring import root_table
 from .sequences import canonical_form, exhaustive_biunimodular, gauss_sequence, is_biunimodular
 
@@ -191,12 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="verify families and matrix identities")
     p.add_argument("--dims", required=True, help="dimension span, e.g. 2..30")
-    p.add_argument(
-        "--expect-negative",
-        choices=("r-squared",),
-        default=None,
-        help="require the even-dimension rotation-square defect to be detected",
-    )
 
     p = sub.add_parser("gauss", parents=[common], help="Gauss sum identities")
     p.add_argument("mode", choices=("identity", "reciprocity", "even", "trace", "powersums"))
@@ -354,15 +349,8 @@ def _negative_records(d: int, base_tol: float) -> list[dict]:
 
 
 def _built_family_records(d: int, base_tol: float, payload: dict) -> list[dict]:
-    """Build the family of dimension d at the run's tolerance, put it into
-    payload and verify it.  A member that fails the unitarity check at
-    construction gives a failed record instead of a family."""
-    tol = default_tolerance(d, base_tol)
-    try:
-        family = build_family(d, tol)
-    except ConstructionError as exc:
-        return [_bounded("member-unitary", {"d": d, "basis": exc.label}, exc.deviation, tol)]
-    payload["family"] = family
+    """Build the family of dimension d, put it into payload and verify it."""
+    family = payload["family"] = build_family(d)
     return _family_records(family, base_tol)
 
 
@@ -565,6 +553,10 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
         _check_cap(range(args.dim, args.dim + 1), args.dense_cap)
         checks = [partial(_built_family_records, args.dim, base_tol, payload)]
     elif args.command == "search":
+        if not 1 <= args.dim <= 6:
+            raise UsageError(f"search --d must lie in 1..6, got {args.dim}")
+        if not 1 <= args.alphabet <= 12:
+            raise UsageError(f"search --alphabet must lie in 1..12, got {args.alphabet}")
         checks = [partial(_search_records, args.dim, args.alphabet, base_tol)]
     elif args.command == "seq":
         dims = parse_span(args.d_span)
@@ -572,10 +564,6 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
         checks = [partial(_seq_check, d, k_span, base_tol) for d in _odd_dims(dims, "seq gauss")]
     elif args.command in ("verify", "sweep"):
         dims = parse_span(args.dims)
-        if args.command == "verify" and args.expect_negative == "r-squared" and not any(
-            d % 2 == 0 and d >= 4 for d in dims
-        ):
-            raise UsageError("--expect-negative r-squared needs an even dimension >= 4 in --dims")
         if dims.start < 2:
             raise UsageError(f"verification needs dimensions >= 2, got span starting at {dims.start}")
         _check_cap(dims, args.dense_cap)
@@ -627,6 +615,11 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
             primes = [d for d in dims if d % 2 and is_prime(d)]
             if not primes:
                 raise UsageError("powersums mode needs at least one odd prime in --d")
+            p = primes[0]  # the least prime bounds k and m for every prime in --d
+            if k_span is not None and not 1 <= k_span.start <= k_span[-1] <= p - 1:
+                raise UsageError(f"powersums --k must lie in 1..{p - 1} for d={p}, got {args.k_span}")
+            if m_span is not None and max(-m_span.start, m_span[-1]) > p - 1:
+                raise UsageError(f"powersums --m must lie in -{p - 1}..{p - 1} for d={p}, got {args.m_span}")
             checks = [partial(_powersums_check, d, k_span, m_span, base_tol) for d in primes]
     return checks, payload
 
@@ -828,7 +821,7 @@ def main(argv: list[str] | None = None) -> int:
                 **payload,
             }
             _emit(doc, handle)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a defect of the program, not of its input or its verdicts

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import build_triangular_diagonal
-from .phase_ring import _check_dimension, root_table, triangular_phase
+from .phase_ring import _check_dimension, root_table
 
 _DIRECT_CUTOFF = 64
 _BLOCK = 1 << 16  # exponents gathered at once by a batched _direct
@@ -211,10 +211,10 @@ def _check_odd_coprime(d: int, l: int, name: str = "l") -> None:
 
 
 def _shift_sums(d: int, l: int) -> np.ndarray:
-    """sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k)) for every shift j = 0 .. d-1."""
-    k = np.arange(d, dtype=np.int64)
-    t = triangular_phase(k, l, d)[None, :] + 2 * np.outer(k, k)
-    return root_table(d)[t % (2 * d)].sum(axis=1)
+    """sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k)) = S(l, l + 2j, d) for every
+    shift j = 0 .. d-1."""
+    a = l % (2 * d)
+    return _direct(a, (a + 2 * np.arange(d, dtype=np.int64)) % (2 * d), d)
 
 
 def gauss_identity_sweep(d: int, l: int) -> np.ndarray:
@@ -240,21 +240,14 @@ def verify_even_gauss(d: int) -> float:
     return float(abs(abs(_direct(1, 0, d)) - math.sqrt(d)))
 
 
-def verify_rotation_power_sums(d: int, k: int, m: int) -> tuple[float, float]:
+def _power_sum_deviations(d: int, ks: list[int], ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The two reciprocity-linked moduli behind rotation powers, for odd
-    prime d and 1 <= k <= d-1:
+    prime d, 1 <= k <= d-1 and |m| <= d-1,
 
         | |S(k, k + 2m, d)| - sqrt(d) |   and   | |S(-d, -(k + 2m), k)| - sqrt(k) |
 
-    returned as a pair of deviations.
-    """
-    dev_d, dev_k = _power_sum_deviations(d, [k], [m])
-    return float(dev_d[0, 0]), float(dev_k[0, 0])
-
-
-def _power_sum_deviations(d: int, ks: list[int], ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Both deviations of verify_rotation_power_sums as (k, m) arrays: the
-    length-d sums in one batch, the length-k sums in one batch per k."""
+    as (k, m) arrays: the length-d sums in one batch, the length-k sums in
+    one batch per k."""
     if not is_prime(d) or d % 2 == 0:
         raise ValueError(f"need an odd prime dimension, got {d}")
     for k in ks:

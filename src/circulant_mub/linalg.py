@@ -300,20 +300,15 @@ def is_unitary_hadamard(m, tol: float | None = None) -> CheckResult:
     return CheckResult(deviation <= tol, deviation)
 
 
-def _circulant_gram_defect(spectra: np.ndarray) -> np.ndarray:
-    """is_unitary's deviation for circulants given by their spectra, one per
-    row: C* C is the circulant of spectrum |s|**2, and its first column holds
-    every entry of C* C - I."""
-    gram = np.fft.ifft(np.abs(spectra) ** 2, axis=-1)
-    gram[..., 0] -= 1.0
-    return np.abs(gram).max(axis=-1)
-
-
 def _circulant_hadamard_deviation(columns: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     """is_unitary_hadamard's deviation for circulants given by their first
-    columns and spectra, one per row, without densifying them."""
+    columns and spectra, one per row, without densifying them: C* C is the
+    circulant of spectrum |s|**2, and its first column holds every entry of
+    C* C - I."""
+    gram = np.fft.ifft(np.abs(spectra) ** 2, axis=-1)
+    gram[..., 0] -= 1.0
     modulus = np.abs(np.abs(columns) - 1.0 / math.sqrt(columns.shape[-1])).max(axis=-1)
-    return np.maximum(_circulant_gram_defect(spectra), modulus)
+    return np.maximum(np.abs(gram).max(axis=-1), modulus)
 
 
 def circulant_deviation(m) -> float:

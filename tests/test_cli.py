@@ -160,12 +160,6 @@ def test_verify_rejects_dimensions_below_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_expect_negative_flag(capsys):
-    assert main(["verify", "--dims", "4", "--expect-negative", "r-squared"]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["verify", "--dims", "3", "--expect-negative", "r-squared"]) == EXIT_USAGE
-
-
 def test_gauss_identity(capsys):
     code, doc = run_json(capsys, ["gauss", "identity", "--d", "3..15"])
     assert code == EXIT_OK
@@ -528,21 +522,26 @@ def test_tolerance_flag_and_environment(capsys, monkeypatch):
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
-    def broken(d, tol=None):
-        raise RuntimeError("construction broke")
+    # a ValueError raised inside a check is a defect too: usage errors are
+    # all found in _plan, before any check runs
+    for error in (RuntimeError, ValueError):
 
-    monkeypatch.setattr(cli, "build_family", broken)
-    assert main(["verify", "--dims", "3"]) == EXIT_INTERNAL
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "internal error: RuntimeError: construction broke" in captured.err
-    assert "Traceback" in captured.err
+        def broken(d):
+            raise error("construction broke")
+
+        monkeypatch.setattr(cli, "build_family", broken)
+        assert main(["verify", "--dims", "3"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"internal error: {error.__name__}: construction broke" in captured.err
+        assert "Traceback" in captured.err
     assert EXIT_INTERNAL not in (EXIT_OK, EXIT_FAILURES, EXIT_USAGE)
 
 
 def test_construction_check_uses_the_run_tolerance(capsys, monkeypatch):
-    # a Fourier member off unitarity by about 2e-7: at the default tolerance
-    # the construction check fails, which is a failed record, not a crash
+    # a Fourier member off unitarity by about 2e-7: the family is built
+    # unchecked, and the pair-unbiased records that hold F fail at the run's
+    # tolerance, I|F with F's own unitarity defect
     fourier = mub.build_fourier
 
     def skewed(d):
@@ -552,20 +551,42 @@ def test_construction_check_uses_the_run_tolerance(capsys, monkeypatch):
     for argv in (["verify", "--dims", "5"], ["build", "--dim", "5"]):
         code, doc = run_json(capsys, argv)
         assert code == EXIT_FAILURES
+        pairs = {r["case"]["pair"]: r for r in doc["records"] if r["check"] == "pair-unbiased"}
+        assert len(pairs) == 15
         failed = [r for r in doc["records"] if r["passed"] is False]
-        assert [(r["check"], r["case"]) for r in failed] == [("member-unitary", {"d": 5, "basis": "F"})]
-        assert failed[0]["deviation"] == pytest.approx(2e-7, rel=1e-3)
-        assert failed[0]["tolerance"] == default_tolerance(5, 1e-9)
-        assert "family" not in doc
-    # a looser --tol admits the member at construction as it does everywhere else
+        assert sorted(r["case"]["pair"] for r in failed) == sorted(p for p in pairs if "F" in p.split("|"))
+        assert pairs["I|F"]["deviation"] == pytest.approx(2e-7, rel=1e-3)
+        assert pairs["I|F"]["tolerance"] == default_tolerance(5, 1e-9)
+    assert doc["family"]["bases"][1]["label"] == "F"
+    # a looser --tol admits the member as it does everywhere else
     code, doc = run_json(capsys, ["verify", "--dims", "5", "--tol", "1e-3"])
     assert code == EXIT_OK
-    assert "member-unitary" not in {r["check"] for r in doc["records"]}
     assert run_json(capsys, ["build", "--dim", "5", "--tol", "1e-3"])[1]["family"]["dimension"] == 5
 
 
+def test_check_arguments_are_usage_errors_found_before_the_output_is_opened(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    refused = [
+        ["gauss", "powersums", "--d", "3..31", "--k", "1..5"],
+        ["gauss", "powersums", "--d", "5..7", "--k", "0..2"],
+        ["gauss", "powersums", "--d", "5..7", "--m=-5..0"],
+        ["search", "--d", "7", "--alphabet", "3"],
+        ["search", "--d", "0", "--alphabet", "3"],
+        ["search", "--d", "2", "--alphabet", "13"],
+    ]
+    for argv in refused:
+        target.write_text("an earlier report\n")
+        assert main(argv + ["--output", str(target)]) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert target.read_text() == "an earlier report\n"
+    # the bounds come from the least prime in --d
+    assert main(["gauss", "powersums", "--d", "5..7", "--k", "1..4", "--m=-4..4"]) == EXIT_OK
+    assert main(["search", "--d", "1", "--alphabet", "1"]) == EXIT_OK
+
+
 def test_unwritable_output_is_a_usage_error_found_before_any_check(tmp_path, capsys, monkeypatch):
-    def never(d, tol=None):
+    def never(d):
         raise AssertionError("a check ran before the destination was opened")
 
     monkeypatch.setattr(cli, "build_family", never)
@@ -592,7 +613,7 @@ def test_dense_cap_flag(capsys, monkeypatch, tmp_path):
 
     # the span is refused before any check is built or run, and before the
     # report file is opened
-    def never(d, tol=None):
+    def never(d):
         raise RuntimeError("a check ran despite the cap")
 
     monkeypatch.setattr(cli, "build_family", never)

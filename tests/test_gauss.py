@@ -13,9 +13,9 @@ from circulant_mub import (
     root_table,
     smallest_nontrivial_divisor,
     verify_even_gauss,
-    verify_rotation_power_sums,
     verify_triangular_trace,
 )
+from circulant_mub.gauss import _power_sum_deviations
 
 
 def sum_oracle(a, b, d):
@@ -186,15 +186,16 @@ def test_rotation_power_sums():
     for d in (3, 5, 7, 11, 13):
         for k in range(1, d):
             for m in (0, 1, 2):
-                dev_d, dev_k = verify_rotation_power_sums(d, k, m)
-                assert dev_d < 1e-11, (d, k, m)
-                assert dev_k < 1e-11, (d, k, m)
+                dev_d, dev_k = _power_sum_deviations(d, [k], [m])
+                assert dev_d.shape == dev_k.shape == (1, 1)
+                assert dev_d[0, 0] < 1e-11, (d, k, m)
+                assert dev_k[0, 0] < 1e-11, (d, k, m)
 
 
 def test_rotation_power_sums_validation():
     with pytest.raises(ValueError):
-        verify_rotation_power_sums(9, 1, 0)
+        _power_sum_deviations(9, [1], [0])
     with pytest.raises(ValueError):
-        verify_rotation_power_sums(7, 0, 0)
+        _power_sum_deviations(7, [0], [0])
     with pytest.raises(ValueError):
-        verify_rotation_power_sums(7, 2, 7)
+        _power_sum_deviations(7, [2], [7])

@@ -14,6 +14,8 @@ from circulant_mub import (
     build_rotation,
     circulant_power,
     default_tolerance,
+    diagonalize_circulant,
+    is_unitary,
     is_unitary_hadamard,
     multiply,
     negative_check_even,
@@ -81,9 +83,6 @@ def test_family_validation():
         build_family(1)
     with pytest.raises(ValueError):
         build_family(0)
-    # an impossible tolerance trips the construction-time unitarity gate
-    with pytest.raises(RuntimeError):
-        build_family(3, tol=1e-30)
 
 
 def test_pairwise_moduli_direct_oracle():
@@ -232,3 +231,20 @@ def test_prime_family_beyond_the_dense_verifier():
     assert len(report.pairs) == (d + 1) * d // 2
     assert report.passed, report.worst
     assert report.worst < 1e-12
+
+
+def test_identity_row_measures_each_member_unitary():
+    # verify_family's pair I|X is I* X = X, so its deviation covers X's own
+    # Gram defect: a circulant's from its spectrum, a dense member's from X* X
+    for d in [*range(2, 98), 127]:
+        family = build_family(d)
+        identity_row = {p.label_b: p.deviation for p in verify_family(family).pairs if p.label_a == "I"}
+        assert list(identity_row) == list(family.labels()[1:])
+        for label, member in family.bases[1:]:
+            if isinstance(member, CirculantMatrix):
+                gram = np.fft.ifft(np.abs(diagonalize_circulant(member)) ** 2)
+                gram[0] -= 1.0
+                defect = float(np.abs(gram).max())
+            else:
+                defect = is_unitary(member).deviation
+            assert identity_row[label] >= defect - 1e-15, (d, label)
