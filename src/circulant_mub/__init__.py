@@ -53,7 +53,6 @@ from .gauss import (
     is_prime,
     smallest_nontrivial_divisor,
     verify_even_gauss,
-    verify_triangular_trace,
 )
 from .mub import (
     EvenSquareCheck,

@@ -17,10 +17,10 @@ by (check, case), so reports are deterministic.  main() then puts the report
 together once, as one plain mub-report/1 dict (config, records, summary and,
 for build, the MubFamily itself), and the json, text and csv renderers write
 that dict straight into the --output file or stdout, which is opened before
-any check runs.  json and text write each member as scale * entries, csv the
-member's own entries.  The json writer emits the bytes of
-json.dump(doc, indent=2) one top-level key, record and family member at a
-time, and formats each distinct matrix entry once.
+any check runs.  json and text scale each member only as they write it
+(scale * entries), csv writes the member's own entries.  The json writer
+emits the bytes of json.dump(doc, indent=2) one top-level key, record and
+family member at a time, and formats each distinct matrix entry once.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 (a bad argument or an --output path that cannot be opened), 3 internal error
 (an unexpected exception, reported with its traceback on stderr).
@@ -30,9 +30,9 @@ tolerance base; matrix identity checks scale it by sqrt(d), scalar Gauss
 sum checks use it as an absolute bound.  A family is built unchecked and
 measured once, by its pair-unbiased records: the pair of the identity with a
 member measures that member's own unitarity.  --dense-cap bounds the
-dimensions build, verify and sweep accept; _plan refuses a larger one, and
-powersums and search arguments outside what their checks accept, as a usage
-error before any check is built.
+dimensions build, verify and sweep accept; _plan refuses a larger one, a
+gauss or seq length above MAX_MODULUS, and powersums and search arguments
+outside what their checks accept, as a usage error before any check is built.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import traceback
 from contextlib import nullcontext
 from functools import partial
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 import numpy as np
 
@@ -91,6 +92,7 @@ EXIT_INTERNAL = 3
 SCHEMA = "mub-report/1"
 DEFAULT_TOL_BASE = 1e-9
 TOL_ENV_VAR = "MUB_DEFAULT_TOL"
+MAX_MODULUS = 10**9  # the largest d whose exponent products stay within int64 (phase_ring)
 
 
 class UsageError(Exception):
@@ -155,6 +157,15 @@ def parse_span(text: str) -> range:
     if lo > hi:
         raise UsageError(f"empty span {text!r} (lower bound exceeds upper)")
     return range(lo, hi + 1)
+
+
+def _modulus_span(text: str, flag: str) -> range:
+    """parse_span for a Gauss sum or sequence length, refusing one above
+    MAX_MODULUS before any check lists or indexes that many terms."""
+    span = parse_span(text)
+    if span[-1] > MAX_MODULUS:
+        raise UsageError(f"{flag} must be at most {MAX_MODULUS}, got {span[-1]}")
+    return span
 
 
 def _resolve_tol(value: float | None) -> float:
@@ -376,12 +387,13 @@ def _matrix_payload(label: str, matrix, d: int) -> dict:
 
 
 def _family_payload(family: MubFamily) -> dict:
-    """The family as json and text write it: each member as scale * entries."""
+    """The family as json and text write it: each member as scale * entries,
+    scaled one at a time as the renderer reaches it."""
     d = family.dimension
     return {
         "dimension": d,
         "recipe": family.recipe.value,
-        "bases": [_matrix_payload(label, basis, d) for label, basis in family.bases],
+        "bases": (_matrix_payload(label, basis, d) for label, basis in family.bases),
     }
 
 
@@ -559,7 +571,7 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
             raise UsageError(f"search --alphabet must lie in 1..12, got {args.alphabet}")
         checks = [partial(_search_records, args.dim, args.alphabet, base_tol)]
     elif args.command == "seq":
-        dims = parse_span(args.d_span)
+        dims = _modulus_span(args.d_span, "--d")
         k_span = parse_span(args.k_span) if args.k_span else None
         checks = [partial(_seq_check, d, k_span, base_tol) for d in _odd_dims(dims, "seq gauss")]
     elif args.command in ("verify", "sweep"):
@@ -579,7 +591,7 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
     elif args.d_span is None:
         raise UsageError("gauss requires --d")
     else:
-        dims = parse_span(args.d_span)
+        dims = _modulus_span(args.d_span, "--d")
         l_span = parse_span(args.l_span) if args.l_span else None
         k_span = parse_span(args.k_span) if args.k_span else None
         m_span = parse_span(args.m_span) if args.m_span else None
@@ -593,7 +605,7 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
                         )
                 checks.append(partial(_identity_check, d, multipliers, base_tol))
         elif args.mode == "reciprocity":
-            a_span = parse_span(args.a_span) if args.a_span else range(1, 21)
+            a_span = _modulus_span(args.a_span, "--a") if args.a_span else range(1, 21)
             b_span = parse_span(args.b_span) if args.b_span else None
             if a_span.start < 1:
                 raise UsageError("reciprocity mode sweeps a >= 1")
@@ -650,7 +662,7 @@ def _render_text(doc: dict) -> str:
     ]
     if "family" in doc:
         fam = _family_payload(doc["family"])
-        lines.append(f"family: d={fam['dimension']} recipe={fam['recipe']} bases={len(fam['bases'])}")
+        lines.append(f"family: d={fam['dimension']} recipe={fam['recipe']} bases={len(doc['family'].bases)}")
         for basis in fam["bases"]:
             lines.append(f"  {basis['label']} (scale {basis['scale']:.9g}):")
             body = np.array2string(basis["entries"], precision=6, suppress_small=True, max_line_width=120)
@@ -746,8 +758,8 @@ def _json_text(value, level: int = 0) -> str:
 
 def _write_json(value, write, level: int = 0) -> None:
     """Write _json_text(value, level) without ever holding it as one string:
-    a dict one key at a time, a list one whole item at a time, and a
-    MubFamily as its _family_payload."""
+    a dict one key at a time, a list or generator one whole item at a time,
+    and a MubFamily as its _family_payload."""
     if isinstance(value, MubFamily):
         value = _family_payload(value)
     inner = "\n" + _INDENT * (level + 1)
@@ -758,7 +770,7 @@ def _write_json(value, write, level: int = 0) -> None:
             _write_json(item, write, level + 1)
             separator = "," + inner
         write("\n" + _INDENT * level + "}")
-    elif isinstance(value, (list, tuple)) and value:
+    elif isinstance(value, (list, tuple, GeneratorType)) and value:
         separator = "[" + inner
         for item in value:
             write(separator + _json_text(item, level + 1))

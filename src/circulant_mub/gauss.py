@@ -4,15 +4,16 @@ The central object is
 
     S(a, b, d) = sum_{j=0}^{d-1} exp((i*pi/d) * (a*j**2 + b*j)),
 
-evaluated exactly on the 2d-th roots of unity.  Landsberg-Schaar style
-reciprocity trades S(a, b, d) for a sum of length a,
+evaluated exactly on the 2d-th roots of unity.  Landsberg-Schaar
+reciprocity trades S(a, b, d), a > 0, for a sum of length a,
 
-    S(a, b, d) = sqrt(d/|a|) * exp((i*pi/4) * (sgn(a*d) - b**2/(a*d)))
+    S(a, b, d) = sqrt(d/a) * exp((i*pi/4) * (sgn(a*d) - b**2/(a*d)))
                  * S(-d, -b, a),
 
-valid for a*d != 0 and a*d + b even.  The verify_* helpers measure how far
-the relevant absolute values are from sqrt(d); for coprime parameters they
-must vanish up to rounding.
+valid for a*d + b even.  gauss_sum_reciprocity takes this one step (for
+a < 0, S(a, b, d) = conj(S(-a, -b, d))).  gauss_identity_sweep and
+verify_even_gauss measure how far the moduli are from sqrt(d); for coprime
+parameters they must vanish up to rounding.
 
 _direct is a row kernel: for ints a and b it returns S(a, b, d), for int64
 arrays one sum per entry of their broadcast, gathered from the root table of
@@ -33,10 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import build_triangular_diagonal
 from .phase_ring import _check_dimension, root_table
 
-_DIRECT_CUTOFF = 64
 _BLOCK = 1 << 16  # exponents gathered at once by a batched _direct
 
 
@@ -137,50 +136,10 @@ def _one_step(a: int, b, d: int):
     return math.sqrt(d / a) * _quarter_phase(a, b, d) * _direct(-d, -b, a)
 
 
-def _geometric(a: int, b: int, d: int) -> complex:
-    # S(a, b, d) for a in {0, d} mod 2d: the quadratic part degenerates,
-    # exp(i*pi*d*j**2/d) = (-1)**j, leaving a geometric sum.
-    b_eff = (b + (d if a else 0)) % (2 * d)
-    if b_eff == 0:
-        return complex(d)
-    if b_eff % 2 == 0:
-        return 0j  # ratio is a nontrivial d-th root of unity
-    r = cmath.exp(1j * math.pi * b_eff / d)
-    return -2.0 / (r - 1)  # r**d = -1 for odd b_eff
-
-
-def _reciprocity_chain(a: int, b: int, d: int) -> complex:
-    factor = 1 + 0j
-    conj_pending = False
-    while True:
-        a %= 2 * d
-        b %= 2 * d
-        if d <= _DIRECT_CUTOFF:
-            value = _direct(a, b, d)
-            break
-        if a == 0 or a == d:
-            value = _geometric(a, b, d)
-            break
-        if a > d:
-            # S(a, b, d) = conj(S(2d - a, -b, d)): reflect into 0 < a < d
-            a, b = 2 * d - a, (-b) % (2 * d)
-            conj_pending = not conj_pending
-            continue
-        step = math.sqrt(d / a) * _quarter_phase(a, b, d)
-        factor *= step.conjugate() if conj_pending else step
-        a, b, d = (-d) % (2 * a), (-b) % (2 * a), a
-    if conj_pending:
-        value = value.conjugate()
-    return factor * value
-
-
-def gauss_sum_reciprocity(spec: GaussSumSpec, recursive: bool = False) -> complex:
-    """Evaluate S(a, b, d) through reciprocity.
-
-    One step by default: the identity converts the length-d sum into a
-    length-|a| sum, which is evaluated directly.  With recursive=True the
-    step is iterated with coefficient reduction mod 2d, Euclid style, which
-    stays fast for large d; small tails are summed directly.
+def gauss_sum_reciprocity(spec: GaussSumSpec) -> complex:
+    """Evaluate S(a, b, d) through one reciprocity step: the identity
+    converts the length-d sum into a length-|a| sum, which is evaluated
+    directly.
 
     Requires a != 0 and a*d + b even; violations raise ValueError.
     """
@@ -190,24 +149,12 @@ def gauss_sum_reciprocity(spec: GaussSumSpec, recursive: bool = False) -> comple
     if (a * d + b) % 2:
         raise ValueError(f"reciprocity needs a*d + b even, got a={a} b={b} d={d}")
     if a < 0:
-        return gauss_sum_reciprocity(
-            GaussSumSpec(-a, -b, d), recursive=recursive
-        ).conjugate()
-    if recursive:
-        return _reciprocity_chain(a, b, d)
+        return _one_step(-a, -b, d).conjugate()
     return _one_step(a, b, d)
 
 
 # ---------------------------------------------------------------------------
 # modulus identities
-
-
-def _check_odd_coprime(d: int, l: int, name: str = "l") -> None:
-    _check_dimension(d)
-    if d % 2 == 0 or d < 3:
-        raise ValueError(f"need an odd dimension >= 3, got {d}")
-    if math.gcd(l, d) != 1:
-        raise ValueError(f"{name}={l} must be coprime with d={d}")
 
 
 def _shift_sums(d: int, l: int) -> np.ndarray:
@@ -220,16 +167,12 @@ def _shift_sums(d: int, l: int) -> np.ndarray:
 def gauss_identity_sweep(d: int, l: int) -> np.ndarray:
     """Deviations | |sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k))| - sqrt(d) |
     for every j = 0 .. d-1 at once.  Requires odd d and gcd(l, d) = 1."""
-    _check_odd_coprime(d, l)
+    _check_dimension(d)
+    if d % 2 == 0 or d < 3:
+        raise ValueError(f"need an odd dimension >= 3, got {d}")
+    if math.gcd(l, d) != 1:
+        raise ValueError(f"l={l} must be coprime with d={d}")
     return np.abs(np.abs(_shift_sums(d, l)) - math.sqrt(d))
-
-
-def verify_triangular_trace(d: int, k: int) -> float:
-    """| |trace(D**k)| - sqrt(d) | for the triangular diagonal D, odd d,
-    gcd(k, d) = 1."""
-    _check_odd_coprime(d, k, name="k")
-    diag = build_triangular_diagonal(d).power(k)
-    return float(abs(abs(diag.values().sum()) - math.sqrt(d)))
 
 
 def verify_even_gauss(d: int) -> float:

@@ -215,18 +215,19 @@ def adjoint(a) -> DenseUnitary:
     return DenseUnitary(ma.shape[0], _freeze(ma.conj().T))
 
 
-def power(a, n: int, tol: float | None = None) -> DenseUnitary:
+def power(a, n: int) -> DenseUnitary:
     """Square-and-multiply power; a negative n means the same power of the
-    adjoint and is allowed only after the matrix verifies as unitary."""
+    adjoint and is allowed only after the matrix verifies as unitary within
+    default_tolerance(d)."""
     ma = as_matrix(a)
     d = ma.shape[0]
     if n < 0:
-        check = is_unitary(ma, tol)
+        check = is_unitary(ma)
         if not check.passed:
             raise ValueError(
                 f"negative power of a non-unitary matrix (deviation {check.deviation:.3e})"
             )
-        return power(ma.conj().T, -n, tol)
+        return power(ma.conj().T, -n)
     result = np.eye(d, dtype=np.complex128)
     base = ma
     m = n

@@ -65,9 +65,6 @@ class MubFamily:
     bases: tuple[tuple[str, DenseUnitary | CirculantMatrix], ...]
     recipe: Recipe
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.bases)
-
 
 @dataclass(frozen=True)
 class PairCheck:

@@ -140,8 +140,9 @@ def exhaustive_biunimodular(
     return hits
 
 
-def shift_phase_equivalent(a, b, tol: float = 1e-9) -> bool:
-    """True when b equals a global unit phase times a cyclic shift of a.
+def shift_phase_equivalent(a, b) -> bool:
+    """True when b equals a global unit phase times a cyclic shift of a, the
+    entrywise ratios agreeing within 1e-9.
 
     Both sequences must be unimodular-ish (entries bounded away from zero);
     the test compares entrywise ratios across every shift.
@@ -153,15 +154,15 @@ def shift_phase_equivalent(a, b, tol: float = 1e-9) -> bool:
         raise ValueError("shift/phase comparison needs nonvanishing entries")
     for r in range(a.dimension):
         ratio = b.values / np.roll(a.values, -r)
-        if np.abs(ratio - ratio[0]).max() <= tol:
+        if np.abs(ratio - ratio[0]).max() <= 1e-9:
             return True
     return False
 
 
-def canonical_form(c, decimals: int = 9) -> tuple:
+def canonical_form(c) -> tuple:
     """Hashable representative of the orbit of c under cyclic shifts and a
-    global phase: normalize each shift by its leading entry, round, and
-    take the lexicographically smallest tuple of (re, im) pairs."""
+    global phase: normalize each shift by its leading entry, round to 9
+    decimals, and take the lexicographically least tuple of (re, im) pairs."""
     c = as_sequence(c)
     if np.abs(c.values).min() < 1e-12:
         raise ValueError("canonical form needs nonvanishing entries")
@@ -169,7 +170,7 @@ def canonical_form(c, decimals: int = 9) -> tuple:
     for r in range(c.dimension):
         w = np.roll(c.values, -r)
         w = w / w[0]
-        key = tuple((round(z.real, decimals), round(z.imag, decimals)) for z in w)
+        key = tuple((round(z.real, 9), round(z.imag, 9)) for z in w)
         if best is None or key < best:
             best = key
     return best

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -18,7 +20,6 @@ from circulant_mub import (
     exhaustive_biunimodular,
     gauss_sum_direct,
     gauss_sum_reciprocity,
-    verify_triangular_trace,
 )
 from circulant_mub import mub
 from circulant_mub import cli
@@ -31,7 +32,7 @@ from circulant_mub.cli import (
     main,
     parse_span,
 )
-from circulant_mub.linalg import as_matrix
+from circulant_mub.linalg import as_matrix, build_triangular_diagonal
 
 
 def run_json(capsys, argv):
@@ -310,6 +311,16 @@ def test_powersums_check_matches_the_scalar_loop():
         cli._powersums_check(13, None, range(13, 14), 1e-9)
 
 
+def verify_triangular_trace(d, k):
+    """| |trace(D**k)| - sqrt(d) | for the triangular diagonal D, odd d >= 3
+    and gcd(k, d) = 1: the oracle of cli._trace_check, through the diagonal's
+    own power instead of the Gauss-sum row kernel."""
+    if d % 2 == 0 or d < 3 or math.gcd(k, d) != 1:
+        raise ValueError(f"need odd d >= 3 coprime with k, got d={d} k={k}")
+    diag = build_triangular_diagonal(d).power(k)
+    return float(abs(abs(diag.values().sum()) - math.sqrt(d)))
+
+
 def test_trace_check_matches_the_scalar_loop():
     for d in range(3, 200, 2):
         ks = [k for k in range(1, d) if math.gcd(k, d) == 1]
@@ -448,6 +459,8 @@ def json_dump_default(obj):
     """The json.dump hook the streaming writer replaced: the oracle's half."""
     if isinstance(obj, mub.MubFamily):
         return cli._family_payload(obj)
+    if isinstance(obj, types.GeneratorType):  # the members, scaled as they are written
+        return list(obj)
     if isinstance(obj, np.ndarray):
         return np.stack([obj.real, obj.imag], axis=-1).tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -485,6 +498,19 @@ def test_json_writer_streams_one_member_or_record_at_a_time(monkeypatch):
         assert text == json.dumps(doc, indent=2, default=json_dump_default)
         # no write holds more than one family member or one record
         assert max(map(len, chunks)) < len(text) / parts
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_build_report_scales_one_member_at_a_time(monkeypatch, fmt):
+    # the 62 scaled members of d = 61 take 3.7 MB when they are held at once
+    doc = report_doc(monkeypatch, ["build", "--dim", "61", "--format", fmt])
+    tracemalloc.start()
+    try:
+        cli._emit(doc, types.SimpleNamespace(write=len))  # a handle that discards the report
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("dim", [2, 7, 9, 61])
@@ -573,6 +599,15 @@ def test_check_arguments_are_usage_errors_found_before_the_output_is_opened(tmp_
         ["search", "--d", "7", "--alphabet", "3"],
         ["search", "--d", "0", "--alphabet", "3"],
         ["search", "--d", "2", "--alphabet", "13"],
+        # gauss and seq lengths above 10**9, where the exponent products could
+        # overflow int64 and multipliers would be listed one by one
+        ["seq", "gauss", "--d", "100000000000000000001", "--k", "1"],
+        ["gauss", "identity", "--d", "100000000000000000001", "--l", "1"],
+        ["gauss", "reciprocity", "--a", "1", "--d", "100000000000000000001"],
+        ["gauss", "reciprocity", "--a", "100000000000000000001", "--d", "3"],
+        ["gauss", "even", "--d", str(10**20)],
+        ["gauss", "trace", "--d", "100000000000000000001", "--k", "1"],
+        ["gauss", "trace", "--d", "1000000001", "--k", "1"],
     ]
     for argv in refused:
         target.write_text("an earlier report\n")
@@ -583,6 +618,17 @@ def test_check_arguments_are_usage_errors_found_before_the_output_is_opened(tmp_
     # the bounds come from the least prime in --d
     assert main(["gauss", "powersums", "--d", "5..7", "--k", "1..4", "--m=-4..4"]) == EXIT_OK
     assert main(["search", "--d", "1", "--alphabet", "1"]) == EXIT_OK
+    # a length of 10**9 itself is planned; running a check that long would
+    # allocate gigabytes, so only _plan is called
+    for argv in (
+        ["seq", "gauss", "--d", "999999999", "--k", "1"],
+        ["gauss", "identity", "--d", "999999999", "--l", "1"],
+        ["gauss", "reciprocity", "--a", "1000000000", "--d", "1000000000"],
+        ["gauss", "even", "--d", "1000000000"],
+        ["gauss", "trace", "--d", "999999999", "--k", "1"],
+    ):
+        checks, _ = cli._plan(cli._build_parser().parse_args(argv), 1e-9)
+        assert len(checks) == 1, argv
 
 
 def test_unwritable_output_is_a_usage_error_found_before_any_check(tmp_path, capsys, monkeypatch):
@@ -650,10 +696,15 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package from where this process found it, which
+    # from a checkout is src/ through pytest's pythonpath, not the environment
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "circulant_mub", "verify", "--dims", "2..3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "summary:" in proc.stdout

@@ -13,9 +13,9 @@ from circulant_mub import (
     root_table,
     smallest_nontrivial_divisor,
     verify_even_gauss,
-    verify_triangular_trace,
 )
 from circulant_mub.gauss import _power_sum_deviations
+from test_cli import verify_triangular_trace
 
 
 def sum_oracle(a, b, d):
@@ -88,26 +88,6 @@ def test_reciprocity_negative_a():
             continue
         spec = GaussSumSpec(a, b, d)
         assert abs(gauss_sum_reciprocity(spec) - gauss_sum_direct(spec)) < 1e-10
-
-
-def test_reciprocity_recursive_matches_direct_for_large_moduli():
-    for d in (65, 97, 128, 301, 1000):
-        for a in (1, 2, 3, 5, 12):
-            for b in (0, 1, 2, -3):
-                if (a * d + b) % 2:
-                    continue
-                spec = GaussSumSpec(a, b, d)
-                chain = gauss_sum_reciprocity(spec, recursive=True)
-                assert abs(chain - gauss_sum_direct(spec)) < 1e-10 * math.sqrt(d)
-
-
-def test_reciprocity_recursive_geometric_tail():
-    # a = d feeds the chain's degenerate branch, where the quadratic phase
-    # collapses to a sign and the sum is geometric
-    for d, b in [(70, 2), (70, 12), (71, 1), (71, 3), (66, 0)]:
-        spec = GaussSumSpec(d, b, d)
-        chain = gauss_sum_reciprocity(spec, recursive=True)
-        assert abs(chain - gauss_sum_direct(spec)) < 1e-10 * math.sqrt(d)
 
 
 def test_reciprocity_hypotheses_enforced():

@@ -97,18 +97,6 @@ def test_single_step_reciprocity_matches_direct(a, b, d):
     assert abs(gauss_sum_reciprocity(spec) - direct) < 1e-10 * math.sqrt(d)
 
 
-@PROPERTY
-@given(
-    a=st.integers(1, HUGE) | st.integers(-HUGE, -1),
-    b=st.integers(-HUGE, HUGE),
-    d=st.integers(1, 3000),
-)
-def test_recursive_reciprocity_matches_direct(a, b, d):
-    spec = GaussSumSpec(*parity_valid(a, b, d))
-    direct = gauss_sum_direct(spec)
-    assert abs(gauss_sum_reciprocity(spec, recursive=True) - direct) < 1e-10 * math.sqrt(d)
-
-
 def mpmath_gauss_sum(a, b, d):
     # 30-digit oracle: each exponent a*j**2 + b*j is reduced mod 2d exactly
     # in Python ints before it becomes a high-precision phase
@@ -125,7 +113,6 @@ def test_gauss_sums_match_a_high_precision_oracle(a, b, d):
     bound = 1e-13 * math.sqrt(d)
     assert abs(gauss_sum_direct(spec) - exact) < bound
     assert abs(gauss_sum_reciprocity(spec) - exact) < bound
-    assert abs(gauss_sum_reciprocity(spec, recursive=True) - exact) < bound
 
 
 @PROPERTY
