@@ -519,7 +519,7 @@ def _search_records(d: int, alphabet: int, base_tol: float) -> list[dict]:
 
 def _alphabet_exponents(key: tuple, alphabet: int) -> str:
     # every canonical entry of an accepted search lies on an alphabet root
-    # (tests/test_cli.py checks this over d <= 5, alphabet <= 12)
+    # (tests/test_cli.py checks this over d <= 6, alphabet <= 12)
     exponents = []
     for re, im in key:
         angle = math.atan2(im, re) % (2 * math.pi)

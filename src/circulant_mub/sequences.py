@@ -65,13 +65,18 @@ def autocorrelation(c, j: int) -> complex:
     return complex(np.sum(np.conj(c.values) * np.roll(c.values, -j)))
 
 
+def _check_tolerance(tol: float) -> None:
+    # a NaN compares false with every deviation, so it would fail every sequence
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
+
+
 def is_biunimodular(c, tol: float | None = None) -> BiunimodularityReport:
     """Check |c[j]| = 1 and |hat(c)[l]| = 1 for all j, l, within tol."""
     c = as_sequence(c)
     if tol is None:
         tol = default_tolerance(c.dimension)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     freq = dft_sequence(c)
     freq_moduli = np.abs(freq.values)
     freq_moduli.setflags(write=False)
@@ -103,11 +108,15 @@ def exhaustive_biunimodular(
     d: int, alphabet_order: int, tol: float | None = None
 ) -> list[Sequence]:
     """Enumerate all alphabet_order**d sequences over the alphabet of
-    alphabet_order-th roots of unity and keep the bi-unimodular ones.
+    alphabet_order-th roots of unity and keep the bi-unimodular ones, in
+    the order of their base-alphabet_order exponent digits.
 
     Brute force by design: this is the ground-truth oracle the structured
     constructions are compared against, so it must not share code with
-    them.  Capped at d <= 6, alphabet_order <= 12.
+    them.  A unit multiple w*c has the moduli of c in time and frequency,
+    so only the sequences with c[0] = 1 are tested and each hit stands for
+    its alphabet_order phase multiples.  Capped at d <= 6,
+    alphabet_order <= 12.
     """
     _check_dimension(d)
     if not 1 <= d <= 6:
@@ -118,26 +127,26 @@ def exhaustive_biunimodular(
         )
     if tol is None:
         tol = default_tolerance(d)
+    _check_tolerance(tol)
     m = alphabet_order
     alphabet = np.exp(2j * np.pi * np.arange(m) / m)
     # positive-exponent DFT matrix, normalized; moduli of c @ dft are |hat(c)|
     idx = np.arange(d)
     dft = np.exp(2j * np.pi * np.outer(idx, idx) / d) / math.sqrt(d)
     place = m ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    total = m**d
-    hits: list[Sequence] = []
-    chunk = 1 << 16
+    total = m ** (d - 1)
+    accepted = []
+    chunk = 1 << 14  # 16,384 rows: under 5 MB of temporaries at d = 6
     for start in range(0, total, chunk):
         nums = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (nums[:, None] // place[None, :]) % m
-        rows = alphabet[digits]
-        moduli = np.abs(rows @ dft)
-        ok = np.abs(moduli - 1.0).max(axis=1) <= tol
-        for row in rows[ok]:
-            row = row.copy()
-            row.setflags(write=False)
-            hits.append(Sequence(d, row))
-    return hits
+        digits = (nums[:, None] // place[None, :]) % m  # digit 0 is 0
+        moduli = np.abs(alphabet[digits] @ dft)
+        accepted.append(digits[np.abs(moduli - 1.0).max(axis=1) <= tol])
+    digits = (np.concatenate(accepted)[None] + np.arange(m)[:, None, None]) % m
+    digits = digits.reshape(-1, d)
+    values = alphabet[digits[np.argsort(digits @ place)]]
+    values.setflags(write=False)
+    return [Sequence(d, row) for row in values]
 
 
 def shift_phase_equivalent(a, b) -> bool:
@@ -162,15 +171,13 @@ def shift_phase_equivalent(a, b) -> bool:
 def canonical_form(c) -> tuple:
     """Hashable representative of the orbit of c under cyclic shifts and a
     global phase: normalize each shift by its leading entry, round to 9
-    decimals, and take the lexicographically least tuple of (re, im) pairs."""
+    decimals, and take the lexicographically least tuple of (re, im) pairs
+    (the first least, in shift order)."""
     c = as_sequence(c)
     if np.abs(c.values).min() < 1e-12:
         raise ValueError("canonical form needs nonvanishing entries")
-    best = None
-    for r in range(c.dimension):
-        w = np.roll(c.values, -r)
-        w = w / w[0]
-        key = tuple((round(z.real, 9), round(z.imag, 9)) for z in w)
-        if best is None or key < best:
-            best = key
-    return best
+    idx = np.arange(c.dimension)
+    shifts = c.values[(idx[:, None] + idx[None, :]) % c.dimension]  # row r: c rolled by -r
+    shifts = shifts / shifts[:, :1]
+    pairs = np.stack((np.round(shifts.real, 9), np.round(shifts.imag, 9)), axis=-1)
+    return min(tuple(map(tuple, key)) for key in pairs.tolist())

@@ -361,12 +361,12 @@ def test_search_dimension_three(capsys):
 
 
 def test_search_orbits_match_exact_exponent_canonicalization():
-    # over every accepted search with d <= 5: each canonical entry lies within
+    # over every accepted search with d <= 6: each canonical entry lies within
     # 1e-6 of the alphabet root whose exponent the report prints, and grouping
     # hits by the float canonical form finds as many orbits as canonicalizing
     # the integer exponent vectors exactly (rotate, then subtract the first
     # exponent mod m)
-    for d in range(1, 6):
+    for d in range(1, 7):
         for m in range(1, 13):
             hits = exhaustive_biunimodular(d, m, default_tolerance(d, cli.DEFAULT_TOL_BASE))
             roots = np.exp(2j * np.pi * np.arange(m) / m)

@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from circulant_mub import (
     is_biunimodular,
     shift_phase_equivalent,
 )
+from circulant_mub.linalg import default_tolerance
 
 
 def dft_oracle(values):
@@ -30,6 +33,42 @@ def dft_oracle(values):
 
 def random_unimodular(d, rng):
     return np.exp(2j * np.pi * rng.random(d))
+
+
+def exhaustive_oracle(d, m, tols):
+    """Every one of the m**d sequences over the m-th roots of unity, in
+    base-m digit order, each tested on its own DFT moduli; one hit list per
+    tolerance."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    k = np.arange(d)
+    dft = np.exp(2j * np.pi * np.outer(k, k) / d) / math.sqrt(d)
+    rows = roots[np.array(list(itertools.product(range(m), repeat=d)), dtype=np.int64)]
+    chunk = 1 << 16
+    deviation = np.concatenate(
+        [
+            np.abs(np.abs(rows[start : start + chunk] @ dft) - 1.0).max(axis=1)
+            for start in range(0, len(rows), chunk)
+        ]
+    )
+    return [rows[deviation <= tol] for tol in tols]
+
+
+def canonical_oracle(values):
+    """Least (re, im) key over the cyclic shifts, each divided by its first
+    entry and rounded to 9 decimals; the first least key wins a tie."""
+    best = None
+    for r in range(len(values)):
+        w = np.roll(values, -r)
+        w = w / w[0]
+        key = tuple((round(z.real, 9), round(z.imag, 9)) for z in w)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def key_bits(key):
+    # struct tells -0.0 from 0.0, which == does not
+    return [struct.pack("<d", x) for pair in key for x in pair]
 
 
 def test_as_sequence_shapes():
@@ -156,6 +195,28 @@ def test_exhaustive_search_bounds():
         exhaustive_biunimodular(2, 13)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_exhaustive_search_matches_full_enumeration(d):
+    # testing only c[0] = 1 and expanding each hit by the m phases must
+    # return the full enumeration's hits, in its order, bit for bit
+    bases = (1e-9, 1e-6, 1e-3)
+    for m in range(1, 13 if d <= 5 else 9):
+        tols = [default_tolerance(d, base) for base in bases]
+        for tol, expected in zip(tols, exhaustive_oracle(d, m, tols)):
+            hits = exhaustive_biunimodular(d, m, tol)
+            assert len(hits) == len(expected), (d, m, tol)
+            for hit, row in zip(hits, expected):
+                assert hit.values.tobytes() == row.tobytes(), (d, m, tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        exhaustive_biunimodular(2, 4, tol)
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        is_biunimodular(gauss_sequence(3, 1), tol)
+
+
 def test_shift_phase_equivalence():
     a = np.array([1.0, 1j])
     assert shift_phase_equivalent(a, np.array([1j, 1.0]))
@@ -177,3 +238,16 @@ def test_canonical_form_collapses_orbit():
 
 def test_canonical_form_separates_gauss_orbits():
     assert canonical_form(gauss_sequence(5, 1)) != canonical_form(gauss_sequence(5, 2))
+
+
+def test_canonical_form_matches_the_per_shift_loop():
+    # every search hit for d <= 6, m <= 12, plus random unimodular sequences
+    cases = []
+    for d in range(1, 7):
+        for m in range(1, 13):
+            cases += [hit.values for hit in exhaustive_biunimodular(d, m)]
+    rng = np.random.default_rng(47)
+    for d in range(1, 9):
+        cases += [random_unimodular(d, rng) for _ in range(40)]
+    for values in cases:
+        assert key_bits(canonical_form(values)) == key_bits(canonical_oracle(values))
