@@ -719,10 +719,19 @@ _INDENT = "  "
 def _entry_texts(entries: np.ndarray, cell) -> np.ndarray:
     """cell(re, im) for every entry of a complex matrix, as an object array of
     the matrix's shape.  cell runs once per distinct (re, im) bit pattern:
-    comparing bits, not values, keeps -0.0 apart from 0.0."""
-    pairs = np.ascontiguousarray(entries, dtype=np.complex128).view(np.uint64).reshape(-1, 2)
-    distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    texts = np.array([cell(re, im) for re, im in distinct.view(np.float64).tolist()], dtype=object)
+    comparing bits, not values, keeps -0.0 apart from 0.0 and NaN payloads
+    apart.  The patterns are found by 1-D integer uniques, which sort far
+    faster than a row unique of the (n, 2) bits: the distinct real and
+    imaginary bits each get an index, each entry gets the code
+    re_index * len(im_bits) + im_index (below n**2, so it cannot overflow),
+    and the distinct codes are the distinct patterns."""
+    bits = np.ascontiguousarray(entries, dtype=np.complex128).view(np.uint64).reshape(-1, 2)
+    re_bits, re_index = np.unique(bits[:, 0], return_inverse=True)
+    im_bits, im_index = np.unique(bits[:, 1], return_inverse=True)
+    codes, inverse = np.unique(re_index * len(im_bits) + im_index, return_inverse=True)
+    re_codes, im_codes = np.divmod(codes, len(im_bits))
+    distinct = np.stack([re_bits[re_codes], im_bits[im_codes]], axis=-1).view(np.float64)
+    texts = np.array([cell(re, im) for re, im in distinct.tolist()], dtype=object)
     return texts[inverse.reshape(entries.shape)]
 
 

@@ -27,11 +27,18 @@ import numpy as np
 
 from .phase_ring import _check_dimension, root_table, square_phase, triangular_phase
 
+
+def _check_tolerance(tol: float) -> None:
+    # a NaN compares false with every deviation, so it would fail every
+    # check, and an infinite one would pass every check
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
+
+
 def default_tolerance(d: int, base: float = 1e-9) -> float:
     """Deviation budget base * sqrt(d): matrix checks accumulate error
     over d-term sums, so the budget grows with the dimension."""
-    if base <= 0:
-        raise ValueError(f"tolerance base must be positive, got {base}")
+    _check_tolerance(base)
     return base * math.sqrt(d)
 
 
@@ -279,8 +286,7 @@ def is_unitary(m, tol: float | None = None) -> CheckResult:
     d = mm.shape[0]
     if tol is None:
         tol = default_tolerance(d)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     gram = mm.conj().T @ mm
     deviation = float(np.abs(gram - np.eye(d)).max())
     return CheckResult(deviation <= tol, deviation)

@@ -36,6 +36,7 @@ from .linalg import (
     CheckResult,
     CirculantMatrix,
     DenseUnitary,
+    _check_tolerance,
     _circulant_hadamard_deviation,
     _freeze,
     adjoint,
@@ -148,8 +149,7 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
     d = family.dimension
     if tol is None:
         tol = default_tolerance(d)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tolerance(tol)
     members = [basis for _, basis in family.bases]
     spectra = [diagonalize_circulant(b) if isinstance(b, CirculantMatrix) else None for b in members]
     pairs = []
@@ -206,6 +206,7 @@ def negative_check_even(d: int, tol: float | None = None) -> EvenSquareCheck:
         raise ValueError(f"the rotation-square probe needs even d >= 4, got {d}")
     if tol is None:
         tol = default_tolerance(d)
+    _check_tolerance(tol)
     dense = build_rotation(d).to_dense()
     square = dense @ dense
     moduli = np.abs(square)

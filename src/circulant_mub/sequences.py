@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import default_tolerance
+from .linalg import _check_tolerance, default_tolerance
 from .phase_ring import _check_dimension, root_table, triangular_phase
 
 
@@ -63,12 +63,6 @@ def autocorrelation(c, j: int) -> complex:
     sum_l |hat(c)[l]|**2 * exp(-2*i*pi*j*l/d)."""
     c = as_sequence(c)
     return complex(np.sum(np.conj(c.values) * np.roll(c.values, -j)))
-
-
-def _check_tolerance(tol: float) -> None:
-    # a NaN compares false with every deviation, so it would fail every sequence
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be a positive finite number, got {tol}")
 
 
 def is_biunimodular(c, tol: float | None = None) -> BiunimodularityReport:

@@ -529,6 +529,44 @@ def test_family_csv_matches_the_csv_writer_loop(monkeypatch, dim):
     assert written.getvalue() == expected.getvalue()
 
 
+def _bits(re: float, im: float) -> bytes:
+    return np.array([re, im]).tobytes()
+
+
+# a quiet NaN with a payload other than numpy's own
+_OTHER_NAN = float(np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        np.array([[0.0, -0.0], [complex(0.0, -0.0), complex(-0.0, -0.0)]]),
+        np.array([[complex(np.nan, 1.0), complex(_OTHER_NAN, 1.0)], [complex(np.nan, _OTHER_NAN), np.nan]]),
+        np.array([[np.inf, -np.inf], [complex(0.0, np.inf), complex(-np.inf, -np.inf)]]),
+        np.full((3, 4), complex(0.5, -0.5)),
+        np.arange(12, dtype=np.complex128).reshape(4, 3) * complex(1.0, -2.0),
+        build_family(7).bases[2][1].to_dense() * math.sqrt(7),
+    ],
+    ids=["signed-zeros", "nan-payloads", "infinities", "all-equal", "all-distinct", "rotation-7"],
+)
+def test_entry_texts_formats_each_distinct_bit_pattern_once(entries):
+    calls = []
+
+    def cell(re, im):
+        calls.append(_bits(re, im))
+        return calls[-1]
+
+    grid = cli._entry_texts(entries, cell)
+    # the 2-D row unique of the (re, im) bits is the oracle for the distinct
+    # patterns and for which of them each entry maps to
+    pairs = np.ascontiguousarray(entries).view(np.uint64).reshape(-1, 2)
+    distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    expected = [row.tobytes() for row in distinct]
+    assert sorted(calls) == sorted(expected)
+    assert grid.shape == entries.shape
+    assert grid.ravel().tolist() == [expected[i] for i in inverse.ravel()]
+
+
 def test_tolerance_flag_and_environment(capsys, monkeypatch):
     monkeypatch.delenv("MUB_DEFAULT_TOL", raising=False)
     assert main(["verify", "--dims", "5", "--tol", "1e-30"]) == EXIT_FAILURES

@@ -353,6 +353,17 @@ def test_default_tolerance_scales_with_sqrt_d():
         default_tolerance(4, base=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # a NaN tolerance fails every check and an infinite one passes every check
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        default_tolerance(3, base=tol)
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        is_unitary(np.eye(3), tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        is_unitary_hadamard(build_fourier(3), tol=tol)
+
+
 def test_builder_dimension_validation():
     for builder in (build_clock, build_shift, build_rotation):
         with pytest.raises(ValueError):

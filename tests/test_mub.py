@@ -112,6 +112,14 @@ def test_verifier_flags_biased_pair():
         verify_family(duplicated, tol=-1.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        verify_family(build_family(3), tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        negative_check_even(4, tol=tol)
+
+
 @pytest.mark.parametrize("d", [4, 6, 8, 10, 14, 16])
 def test_even_rotation_square_defect(d):
     check = negative_check_even(d)
