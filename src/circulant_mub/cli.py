@@ -8,8 +8,11 @@ Subcommands
     search   exhaustive bi-unimodular search over a root-of-unity alphabet
     sweep    the full battery (verify + gauss identities) over a range
 
-_plan turns the arguments into checks, one per case: plain functions of the
-case and the tolerance base that return records.  A record is a plain dict
+The CLI owns parsing, planning, running and rendering; the paper's claims are
+measured by mub, gauss and sequences, whose functions return deviations or the
+cases that disagree.  _plan turns the arguments into checks, one per case:
+plain functions of the case and the tolerance base that build records and
+their detail strings from those results.  A record is a plain dict
 (check, case, passed, deviation, tolerance, detail, elapsed_s); _bounded
 holds the one pass rule, deviation <= tolerance, and passed is None on an
 informational record.  _run times each check in turn and sorts the records
@@ -31,8 +34,9 @@ sum checks use it as an absolute bound.  A family is built unchecked and
 measured once, by its pair-unbiased records: the pair of the identity with a
 member measures that member's own unitarity.  --dense-cap bounds the
 dimensions build, verify and sweep accept; _plan refuses a larger one, a
-gauss or seq length above MAX_MODULUS, and powersums and search arguments
-outside what their checks accept, as a usage error before any check is built.
+gauss or seq length above MAX_MODULUS, an explicit --k, --l, --m or --b span
+of more than MAX_SPAN values, and powersums and search arguments outside what
+their checks accept, as a usage error before any check is built.
 """
 
 from __future__ import annotations
@@ -53,36 +57,26 @@ import numpy as np
 
 from . import __version__
 from .gauss import (
-    _direct,
-    _one_step,
-    _power_sum_deviations,
-    _shift_sums,
     gauss_identity_sweep,
     is_prime,
+    power_sum_deviations,
+    reciprocity_deviations,
+    shift_sums,
     smallest_nontrivial_divisor,
+    triangular_trace_deviations,
     verify_even_gauss,
 )
-from .linalg import (
-    _circulant_hadamard_deviation,
-    adjoint,
-    as_matrix,
-    build_clock,
-    build_fourier,
-    build_index_reversal,
-    build_phased_fourier,
-    build_rotation,
-    build_shift,
-    build_triangular_diagonal,
-    circulant_power,
-    default_tolerance,
-    diagonalize_circulant,
-    multiply,
-    power,
-    rotation_scalar,
+from .linalg import as_matrix, default_tolerance
+from .mub import (
+    MubFamily,
+    Recipe,
+    build_family,
+    coprime_power_mismatches,
+    negative_check_even,
+    structural_identities,
+    verify_family,
 )
-from .mub import MubFamily, Recipe, build_family, negative_check_even, verify_family
-from .phase_ring import root_table
-from .sequences import canonical_form, exhaustive_biunimodular, gauss_sequence, is_biunimodular
+from .sequences import alphabet_exponents, exhaustive_biunimodular, gauss_sequence, group_orbits, is_biunimodular
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -93,6 +87,7 @@ SCHEMA = "mub-report/1"
 DEFAULT_TOL_BASE = 1e-9
 TOL_ENV_VAR = "MUB_DEFAULT_TOL"
 MAX_MODULUS = 10**9  # the largest d whose exponent products stay within int64 (phase_ring)
+MAX_SPAN = 10**6  # the most values an explicit --k, --l, --m or --b span may list
 
 
 class UsageError(Exception):
@@ -168,6 +163,16 @@ def _modulus_span(text: str, flag: str) -> range:
     return span
 
 
+def _parameter_span(text: str | None, flag: str) -> range | None:
+    """parse_span for an optional span, refusing one of more than MAX_SPAN values."""
+    if not text:
+        return None
+    span = parse_span(text)
+    if span.stop - span.start > MAX_SPAN:
+        raise UsageError(f"{flag} may span at most {MAX_SPAN} values, got {span.stop - span.start}")
+    return span
+
+
 def _resolve_tol(value: float | None) -> float:
     if value is not None:
         base = value
@@ -239,104 +244,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _structural_records(d: int, base_tol: float) -> list[dict]:
     tol = default_tolerance(d, base_tol)
-    omega = complex(root_table(d)[2 % (2 * d)])
-    fourier = build_fourier(d)
-    clock = build_clock(d).to_dense()
-    shift = build_shift(d).to_dense()
-    records = []
-
-    dev = float(np.abs(shift @ clock - omega * (clock @ shift)).max())
-    records.append(_bounded("clock-shift-commutation", {"d": d}, dev, tol))
-
-    dev = float(np.abs(multiply(multiply(adjoint(fourier), shift), fourier).entries - clock).max())
-    records.append(_bounded("fourier-diagonalizes-shift", {"d": d}, dev, tol))
-
-    f2 = multiply(fourier, fourier).entries
-    dev = float(np.abs(f2 - build_index_reversal(d).entries).max())
-    records.append(_bounded("fourier-square-is-reversal", {"d": d}, dev, tol))
-
-    dev = float(np.abs(f2 @ f2 - np.eye(d)).max())
-    records.append(_bounded("fourier-order-four", {"d": d}, dev, tol))
-
-    if d % 2 and is_prime(d):
-        alpha = rotation_scalar(d)
-        rotation = build_rotation(d).to_dense()
-        diag = build_triangular_diagonal(d)
-        rhs = alpha * multiply(multiply(fourier, diag), adjoint(fourier)).entries
-        dev = float(np.abs(rotation - rhs).max())
-        records.append(_bounded("rotation-diagonalization", {"d": d}, dev, tol))
-
-        dev = float(np.abs(rotation @ clock @ rotation.conj().T - shift @ clock).max())
-        records.append(_bounded("rotation-clock-conjugation", {"d": d}, dev, tol))
-
-        dev = float(np.abs(power(rotation, d).entries - alpha**d * np.eye(d)).max())
-        records.append(_bounded("rotation-order", {"d": d}, dev, tol))
-
-        sample = sorted({1, 2, d - 2, d - 1} & set(range(1, d)))
-        for k in sample:
-            r_k = power(rotation, k).entries
-            lhs = r_k @ clock @ r_k.conj().T
-            rhs = power(shift, k).entries @ clock
-            dev = float(np.abs(lhs - rhs).max())
-            records.append(_bounded("rotation-power-clock", {"d": d, "k": k}, dev, tol))
-            lhs = build_phased_fourier(d, k).entries
-            rhs = alpha**k * (adjoint(fourier).entries @ power(rotation, -k).entries @ f2)
-            dev = float(np.abs(lhs - rhs).max())
-            records.append(_bounded("phased-fourier-identity", {"d": d, "k": k}, dev, tol))
-    return records
+    return [_bounded(check, case, deviation, tol) for check, case, deviation in structural_identities(d)]
 
 
-def _family_records(family: MubFamily, base_tol: float) -> list[dict]:
-    d = family.dimension
+def _family_records(d: int, base_tol: float, payload: dict) -> list[dict]:
+    """Build the family of dimension d, put it into payload and verify it."""
+    family = payload["family"] = build_family(d)
     tol = default_tolerance(d, base_tol)
-    report = verify_family(family, tol)
     if family.recipe in (Recipe.D_TWO, Recipe.EVEN):
         expected = 3
     elif family.recipe is Recipe.PRIME:
         expected = d + 1
     else:
         expected = smallest_nontrivial_divisor(d) + 1
-    records = [
-        _record(
-            "family-size",
-            {"d": d},
-            len(family.bases) == expected,
-            detail=f"recipe={family.recipe.value} bases={len(family.bases)} expected={expected}",
-        )
-    ]
-    for pair in report.pairs:
-        records.append(
-            _record(
-                "pair-unbiased",
-                {"d": d, "pair": f"{pair.label_a}|{pair.label_b}"},
-                pair.passed,
-                pair.deviation,
-                tol,
-            )
-        )
+    detail = f"recipe={family.recipe.value} bases={len(family.bases)} expected={expected}"
+    records = [_record("family-size", {"d": d}, len(family.bases) == expected, detail=detail)]
+    for pair in verify_family(family, tol).pairs:
+        case = {"d": d, "pair": f"{pair.label_a}|{pair.label_b}"}
+        records.append(_record("pair-unbiased", case, pair.passed, pair.deviation, tol))
     return records
 
 
 def _coprimality_records(d: int, base_tol: float) -> list[dict]:
-    # odd composite: rotation powers are Hadamard exactly at coprime exponents
     tol = default_tolerance(d, base_tol)
-    rotation = build_rotation(d)
-    wrong = []
-    for k in range(1, d):
-        r_k = circulant_power(rotation, k)
-        deviation = _circulant_hadamard_deviation(r_k.first_column, diagonalize_circulant(r_k))
-        if (deviation <= tol) != (math.gcd(k, d) == 1):
-            wrong.append(k)
+    wrong = coprime_power_mismatches(d, tol)
     detail = f"k=1..{d - 1}" + (f" mismatches at {wrong}" if wrong else "")
-    return [
-        _record(
-            "rotation-power-hadamard-iff-coprime",
-            {"d": d},
-            not wrong,
-            tolerance=tol,
-            detail=detail,
-        )
-    ]
+    return [_record("rotation-power-hadamard-iff-coprime", {"d": d}, not wrong, tolerance=tol, detail=detail)]
 
 
 def _negative_records(d: int, base_tol: float) -> list[dict]:
@@ -359,14 +292,8 @@ def _negative_records(d: int, base_tol: float) -> list[dict]:
     ]
 
 
-def _built_family_records(d: int, base_tol: float, payload: dict) -> list[dict]:
-    """Build the family of dimension d, put it into payload and verify it."""
-    family = payload["family"] = build_family(d)
-    return _family_records(family, base_tol)
-
-
 def _verify_check(d: int, base_tol: float) -> list[dict]:
-    records = _built_family_records(d, base_tol, {})
+    records = _family_records(d, base_tol, {})
     records.extend(_structural_records(d, base_tol))
     if d % 2 and d >= 3 and not is_prime(d):
         records.extend(_coprimality_records(d, base_tol))
@@ -406,7 +333,7 @@ def _identity_check(d: int, multipliers: list[int], base_tol: float) -> list[dic
                 _bounded("gauss-identity", {"d": d, "l": l}, dev, base_tol, "max over all shifts j")
             )
         else:
-            sums = np.abs(_shift_sums(d, l))
+            sums = np.abs(shift_sums(d, l))
             records.append(
                 _record(
                     "gauss-identity-probe",
@@ -428,10 +355,7 @@ def _reciprocity_check(a: int, d: int, b_span: range | None, base_tol: float) ->
     case, detail = {"a": a, "d": d}, f"{len(b_values)} parity-valid b values"
     if not b_values:  # no triple was tested: nothing passed or failed
         return [_record("reciprocity-consistency", case, None, detail=detail)]
-    # b mod 4ad, reduced as a Python int, fixes every sum: see the gauss module
-    n = 4 * a * d
-    b = (first % n + np.arange(0, 2 * len(b_values), 2, dtype=np.int64)) % n
-    worst = float(np.abs(_direct(a, b, d) - _one_step(a, b, d)).max())
+    worst = float(reciprocity_deviations(a, b_values, d).max())
     return [_bounded("reciprocity-consistency", case, worst, base_tol, detail)]
 
 
@@ -441,9 +365,7 @@ def _even_check(d: int, base_tol: float) -> list[dict]:
 
 
 def _trace_check(d: int, ks: list[int], base_tol: float) -> list[dict]:
-    # tr(D**k) = S(k, k, d) for the triangular diagonal D = diag(exp(i*pi*j*(j+1)/d))
-    powers = np.array([k % (2 * d) for k in ks], dtype=np.int64)
-    worst = float(np.abs(np.abs(_direct(powers, powers, d)) - math.sqrt(d)).max())
+    worst = float(triangular_trace_deviations(d, ks).max())
     detail = f"max over {len(ks)} coprime powers"
     return [_bounded("triangular-trace", {"d": d}, worst, base_tol, detail)]
 
@@ -453,7 +375,7 @@ def _powersums_check(
 ) -> list[dict]:
     ks = list(k_span) if k_span is not None else list(range(1, d))
     ms = list(m_span) if m_span is not None else list(range(-2, 3))
-    worst = float(max(deviations.max() for deviations in _power_sum_deviations(d, ks, ms)))
+    worst = float(max(deviations.max() for deviations in power_sum_deviations(d, ks, ms)))
     detail = f"{len(ks)} powers x {len(ms)} offsets, both moduli"
     return [_bounded("rotation-power-sums", {"d": d}, worst, base_tol, detail)]
 
@@ -488,43 +410,16 @@ def _seq_check(d: int, k_span: range | None, base_tol: float) -> list[dict]:
 def _search_records(d: int, alphabet: int, base_tol: float) -> list[dict]:
     tol = default_tolerance(d, base_tol)
     hits = exhaustive_biunimodular(d, alphabet, tol)
-    orbits: dict[tuple, list] = {}
-    for hit in hits:
-        orbits.setdefault(canonical_form(hit), []).append(hit)
+    orbits = group_orbits(hits)
     records = []
-    for index, key in enumerate(sorted(orbits)):
-        members = orbits[key]
+    for index, (key, members) in enumerate(orbits):
         rep = ", ".join(f"{re:+.6f}{im:+.6f}j" for re, im in key)
-        exps = _alphabet_exponents(key, alphabet)
+        exps = ",".join(map(str, alphabet_exponents(key, alphabet)))
         detail = f"representative [{rep}] | members {len(members)} | exponents of e(2*pi*i/{alphabet}): {exps}"
-        records.append(
-            _record(
-                "search-orbit",
-                {"d": d, "alphabet": alphabet, "orbit": index},
-                None,
-                detail=detail,
-            )
-        )
-    records.append(
-        _record(
-            "search-total",
-            {"d": d, "alphabet": alphabet},
-            None,
-            detail=f"{len(hits)} bi-unimodular sequences in {len(orbits)} orbits "
-            f"out of {alphabet**d} candidates",
-        )
-    )
+        records.append(_record("search-orbit", {"d": d, "alphabet": alphabet, "orbit": index}, None, detail=detail))
+    detail = f"{len(hits)} bi-unimodular sequences in {len(orbits)} orbits out of {alphabet**d} candidates"
+    records.append(_record("search-total", {"d": d, "alphabet": alphabet}, None, detail=detail))
     return records
-
-
-def _alphabet_exponents(key: tuple, alphabet: int) -> str:
-    # every canonical entry of an accepted search lies on an alphabet root
-    # (tests/test_cli.py checks this over d <= 6, alphabet <= 12)
-    exponents = []
-    for re, im in key:
-        angle = math.atan2(im, re) % (2 * math.pi)
-        exponents.append(str(round(angle * alphabet / (2 * math.pi)) % alphabet))
-    return ",".join(exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +458,7 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
         if args.dim < 2:
             raise UsageError(f"--dim must be >= 2, got {args.dim}")
         _check_cap(range(args.dim, args.dim + 1), args.dense_cap)
-        checks = [partial(_built_family_records, args.dim, base_tol, payload)]
+        checks = [partial(_family_records, args.dim, base_tol, payload)]
     elif args.command == "search":
         if not 1 <= args.dim <= 6:
             raise UsageError(f"search --d must lie in 1..6, got {args.dim}")
@@ -572,7 +467,7 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
         checks = [partial(_search_records, args.dim, args.alphabet, base_tol)]
     elif args.command == "seq":
         dims = _modulus_span(args.d_span, "--d")
-        k_span = parse_span(args.k_span) if args.k_span else None
+        k_span = _parameter_span(args.k_span, "--k")
         checks = [partial(_seq_check, d, k_span, base_tol) for d in _odd_dims(dims, "seq gauss")]
     elif args.command in ("verify", "sweep"):
         dims = parse_span(args.dims)
@@ -592,9 +487,9 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
         raise UsageError("gauss requires --d")
     else:
         dims = _modulus_span(args.d_span, "--d")
-        l_span = parse_span(args.l_span) if args.l_span else None
-        k_span = parse_span(args.k_span) if args.k_span else None
-        m_span = parse_span(args.m_span) if args.m_span else None
+        l_span = _parameter_span(args.l_span, "--l")
+        k_span = _parameter_span(args.k_span, "--k")
+        m_span = _parameter_span(args.m_span, "--m")
         if args.mode == "identity":
             for d in _odd_dims(dims, "identity mode"):
                 multipliers = list(l_span) if l_span is not None else _coprime(range(1, d), d)
@@ -606,7 +501,7 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
                 checks.append(partial(_identity_check, d, multipliers, base_tol))
         elif args.mode == "reciprocity":
             a_span = _modulus_span(args.a_span, "--a") if args.a_span else range(1, 21)
-            b_span = parse_span(args.b_span) if args.b_span else None
+            b_span = _parameter_span(args.b_span, "--b")
             if a_span.start < 1:
                 raise UsageError("reciprocity mode sweeps a >= 1")
             if dims.start < 1:

@@ -13,7 +13,9 @@ reciprocity trades S(a, b, d), a > 0, for a sum of length a,
 valid for a*d + b even.  gauss_sum_reciprocity takes this one step (for
 a < 0, S(a, b, d) = conj(S(-a, -b, d))).  gauss_identity_sweep and
 verify_even_gauss measure how far the moduli are from sqrt(d); for coprime
-parameters they must vanish up to rounding.
+parameters they must vanish up to rounding, as must the batched
+reciprocity_deviations, triangular_trace_deviations and power_sum_deviations.
+shift_sums gives the sums behind the sweep at any multiplier.
 
 _direct is a row kernel: for ints a and b it returns S(a, b, d), for int64
 arrays one sum per entry of their broadcast, gathered from the root table of
@@ -21,8 +23,8 @@ d a block of _BLOCK exponents at a time so that memory stays bounded.  Each
 row equals the scalar sum bit for bit.  _quarter_phase and _one_step take an
 int or an int64 array b the same way.  The arithmetic is exact: ints are
 reduced (mod 2d, mod 4ad for the quarter phase) before they meet int64, and
-int64 products are of residues.  A caller with b beyond int64 reduces it mod
-4ad as a Python int, which fixes b mod 2d, b mod 2a and b**2 mod 8ad, since
+int64 products are of residues.  reciprocity_deviations reduces each b mod 4ad
+as a Python int, which fixes b mod 2d, b mod 2a and b**2 mod 8ad, since
 (b + 4ad)**2 = b**2 + 8ad*(b + 2ad).
 """
 
@@ -153,11 +155,20 @@ def gauss_sum_reciprocity(spec: GaussSumSpec) -> complex:
     return _one_step(a, b, d)
 
 
+def reciprocity_deviations(a: int, bs: range, d: int) -> np.ndarray:
+    """|S(a, b, d) - one reciprocity step| for a >= 1 and each b in bs, all
+    with a*d + b even: the length-d sum against the length-a sum it is
+    traded for."""
+    n = 4 * a * d
+    b = (bs.start % n + np.arange(0, bs.step * len(bs), bs.step, dtype=np.int64)) % n
+    return np.abs(_direct(a, b, d) - _one_step(a, b, d))
+
+
 # ---------------------------------------------------------------------------
 # modulus identities
 
 
-def _shift_sums(d: int, l: int) -> np.ndarray:
+def shift_sums(d: int, l: int) -> np.ndarray:
     """sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k)) = S(l, l + 2j, d) for every
     shift j = 0 .. d-1."""
     a = l % (2 * d)
@@ -172,7 +183,15 @@ def gauss_identity_sweep(d: int, l: int) -> np.ndarray:
         raise ValueError(f"need an odd dimension >= 3, got {d}")
     if math.gcd(l, d) != 1:
         raise ValueError(f"l={l} must be coprime with d={d}")
-    return np.abs(np.abs(_shift_sums(d, l)) - math.sqrt(d))
+    return np.abs(np.abs(shift_sums(d, l)) - math.sqrt(d))
+
+
+def triangular_trace_deviations(d: int, ks) -> np.ndarray:
+    """| |tr(D**k)| - sqrt(d) | for the triangular diagonal
+    D = diag(exp(i*pi*j*(j+1)/d)) and each int k in ks, as one batch of the
+    sums tr(D**k) = S(k, k, d); a k beyond int64 enters reduced mod 2d."""
+    powers = np.array([k % (2 * d) for k in ks], dtype=np.int64)
+    return np.abs(np.abs(_direct(powers, powers, d)) - math.sqrt(d))
 
 
 def verify_even_gauss(d: int) -> float:
@@ -183,7 +202,7 @@ def verify_even_gauss(d: int) -> float:
     return float(abs(abs(_direct(1, 0, d)) - math.sqrt(d)))
 
 
-def _power_sum_deviations(d: int, ks: list[int], ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def power_sum_deviations(d: int, ks: list[int], ms: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The two reciprocity-linked moduli behind rotation powers, for odd
     prime d, 1 <= k <= d-1 and |m| <= d-1,
 

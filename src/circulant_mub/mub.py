@@ -21,6 +21,10 @@ defects of is_unitary_hadamard on A* B, the worst entry of |Gram - I| and of
 conj(s_a) s_b, so both defects are read off first columns in O(d log d);
 every pair with a dense member is multiplied densely and checked by
 is_unitary_hadamard itself.
+
+structural_identities measures the matrix identities the construction rests
+on, coprime_power_mismatches the rule that R**k is unitary Hadamard exactly
+when gcd(k, d) = 1, and negative_check_even why even families stop at three.
 """
 
 from __future__ import annotations
@@ -40,8 +44,13 @@ from .linalg import (
     _circulant_hadamard_deviation,
     _freeze,
     adjoint,
+    build_clock,
     build_fourier,
+    build_index_reversal,
+    build_phased_fourier,
     build_rotation,
+    build_shift,
+    build_triangular_diagonal,
     circulant_deviation,
     circulant_multiply,
     default_tolerance,
@@ -49,6 +58,8 @@ from .linalg import (
     is_unitary,
     is_unitary_hadamard,
     multiply,
+    power,
+    rotation_scalar,
 )
 from .phase_ring import root_table
 
@@ -219,3 +230,58 @@ def negative_check_even(d: int, tol: float | None = None) -> EvenSquareCheck:
         modulus_min=float(moduli.min()),
         modulus_max=float(moduli.max()),
     )
+
+
+def _worst(difference: np.ndarray) -> float:
+    return float(np.abs(difference).max())
+
+
+def structural_identities(d: int) -> list[tuple[str, dict, float]]:
+    """(check, case, deviation) for each matrix identity the construction
+    rests on, the deviation being the largest entry of |lhs - rhs|: with clock
+    U, shift V and omega = exp(2*i*pi/d), V U = omega U V, F* V F = U, F**2 =
+    the index reversal and F**4 = I; for odd prime d also, with alpha =
+    rotation_scalar(d) and D the triangular diagonal, R = alpha F D F*,
+    R U R* = V U, R**d = alpha**d I and, for k in {1, 2, d-2, d-1},
+    R**k U R**-k = V**k U and build_phased_fourier(d, k) = alpha**k F* R**-k F**2.
+    """
+    omega = complex(root_table(d)[2 % (2 * d)])
+    fourier = build_fourier(d)
+    clock = build_clock(d).to_dense()
+    shift = build_shift(d).to_dense()
+    found = [("clock-shift-commutation", {"d": d}, _worst(shift @ clock - omega * (clock @ shift)))]
+    conjugated = multiply(multiply(adjoint(fourier), shift), fourier).entries
+    found.append(("fourier-diagonalizes-shift", {"d": d}, _worst(conjugated - clock)))
+    f2 = multiply(fourier, fourier).entries
+    found.append(("fourier-square-is-reversal", {"d": d}, _worst(f2 - build_index_reversal(d).entries)))
+    found.append(("fourier-order-four", {"d": d}, _worst(f2 @ f2 - np.eye(d))))
+    if d % 2 and is_prime(d):
+        alpha = rotation_scalar(d)
+        rotation = build_rotation(d).to_dense()
+        diag = build_triangular_diagonal(d)
+        rhs = alpha * multiply(multiply(fourier, diag), adjoint(fourier)).entries
+        found.append(("rotation-diagonalization", {"d": d}, _worst(rotation - rhs)))
+        lhs = rotation @ clock @ rotation.conj().T
+        found.append(("rotation-clock-conjugation", {"d": d}, _worst(lhs - shift @ clock)))
+        found.append(("rotation-order", {"d": d}, _worst(power(rotation, d).entries - alpha**d * np.eye(d))))
+        for k in sorted({1, 2, d - 2, d - 1} & set(range(1, d))):
+            r_k = power(rotation, k).entries
+            lhs = r_k @ clock @ r_k.conj().T
+            rhs = power(shift, k).entries @ clock
+            found.append(("rotation-power-clock", {"d": d, "k": k}, _worst(lhs - rhs)))
+            lhs = build_phased_fourier(d, k).entries
+            rhs = alpha**k * (adjoint(fourier).entries @ power(rotation, -k).entries @ f2)
+            found.append(("phased-fourier-identity", {"d": d, "k": k}, _worst(lhs - rhs)))
+    return found
+
+
+def coprime_power_mismatches(d: int, tol: float) -> list[int]:
+    """The k in 1..d-1 at which "R**k is unitary Hadamard within tol"
+    disagrees with gcd(k, d) = 1, which the paper's rule leaves empty for
+    odd d.  R**k is the circulant of spectrum s**k, s the spectrum of R, so
+    every power is measured from one batch of spectra, never densely."""
+    _check_tolerance(tol)
+    ks = np.arange(1, d)
+    spectra = diagonalize_circulant(build_rotation(d)) ** ks[:, None]
+    deviations = _circulant_hadamard_deviation(np.fft.ifft(spectra, axis=-1), spectra)
+    return [k for k, dev in zip(range(1, d), deviations.tolist()) if (dev <= tol) != (math.gcd(k, d) == 1)]

@@ -4,7 +4,9 @@ A sequence c of length d is bi-unimodular when both c and its normalized
 DFT have all entries on the unit circle.  Such sequences are exactly the
 first columns (times d**0.5) of circulant unitary Hadamard matrices, which
 is why they matter here.  The classical examples in odd dimension are the
-Gauss sequences g(k)[j] = exp(i*pi*k*j*(j+1)/d).
+Gauss sequences g(k)[j] = exp(i*pi*k*j*(j+1)/d).  group_orbits sorts the
+hits of exhaustive_biunimodular into orbits under shifts and a global phase,
+and alphabet_exponents reads an orbit's key back as exponents of the roots.
 """
 
 from __future__ import annotations
@@ -175,3 +177,21 @@ def canonical_form(c) -> tuple:
     shifts = shifts / shifts[:, :1]
     pairs = np.stack((np.round(shifts.real, 9), np.round(shifts.imag, 9)), axis=-1)
     return min(tuple(map(tuple, key)) for key in pairs.tolist())
+
+
+def group_orbits(sequences) -> list[tuple[tuple, list]]:
+    """(canonical_form key, members) for each orbit among the sequences, in
+    key order; the members of an orbit keep their given order."""
+    orbits: dict[tuple, list] = {}
+    for c in sequences:
+        orbits.setdefault(canonical_form(c), []).append(c)
+    return [(key, orbits[key]) for key in sorted(orbits)]
+
+
+def alphabet_exponents(key: tuple, alphabet_order: int) -> list[int]:
+    """The exponent e of the nearest root exp(2*i*pi*e/alphabet_order) for
+    each (re, im) entry of a canonical_form key.  Every canonical entry of an
+    exhaustive_biunimodular hit lies on such a root (tests/test_cli.py checks
+    this over d <= 6, alphabet_order <= 12)."""
+    turn = 2 * math.pi
+    return [round(math.atan2(im, re) % turn * alphabet_order / turn) % alphabet_order for re, im in key]

@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import io
 import json
 import math
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from circulant_mub import (
 )
 from circulant_mub import mub
 from circulant_mub import cli
+from circulant_mub.gauss import power_sum_deviations
+from circulant_mub.sequences import alphabet_exponents, group_orbits
 from circulant_mub.cli import (
     EXIT_FAILURES,
     EXIT_INTERNAL,
@@ -305,10 +310,12 @@ def test_powersums_check_matches_the_scalar_loop():
         assert_matches_oracle(record, scalar_power_sums(d, range(1, d), range(-2, 3)), f"{d - 1} powers x 5 offsets, both moduli")
     [record] = cli._powersums_check(13, range(3, 7), range(-12, 13), 1e-9)
     assert_matches_oracle(record, scalar_power_sums(13, range(3, 7), range(-12, 13)), "4 powers x 25 offsets, both moduli")
+    dev_d, dev_k = power_sum_deviations(13, list(range(3, 7)), list(range(-12, 13)))
+    assert max(dev_d.max(), dev_k.max()) == record["deviation"]
     with pytest.raises(ValueError, match="k=13"):
-        cli._powersums_check(13, range(1, 14), None, 1e-9)
+        power_sum_deviations(13, list(range(1, 14)), list(range(-2, 3)))
     with pytest.raises(ValueError, match="m=13"):
-        cli._powersums_check(13, None, range(13, 14), 1e-9)
+        power_sum_deviations(13, list(range(1, 13)), [13])
 
 
 def verify_triangular_trace(d, k):
@@ -375,10 +382,12 @@ def test_search_orbits_match_exact_exponent_canonicalization():
                 exps = np.rint(np.angle(hit.values) * m / (2 * np.pi)).astype(int) % m
                 assert np.abs(roots[exps] - hit.values).max() < 1e-12
                 exact.add(min(tuple((np.roll(exps, -r) - exps[r]) % m) for r in range(d)))
-            keys = {canonical_form(hit) for hit in hits}
-            assert len(keys) == len(exact), (d, m)
-            for key in keys:
-                exps = [int(e) for e in cli._alphabet_exponents(key, m).split(",")]
+            orbits = group_orbits(hits)
+            assert len(orbits) == len(exact), (d, m)
+            assert sum(len(members) for _, members in orbits) == len(hits)
+            for key, members in orbits:
+                assert all(canonical_form(member) == key for member in members)
+                exps = alphabet_exponents(key, m)
                 assert max(abs(complex(*z) - roots[e]) for z, e in zip(key, exps)) <= 1e-6
 
 
@@ -605,13 +614,14 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
 def test_construction_check_uses_the_run_tolerance(capsys, monkeypatch):
     # a Fourier member off unitarity by about 2e-7: the family is built
     # unchecked, and the pair-unbiased records that hold F fail at the run's
-    # tolerance, I|F with F's own unitarity defect
-    fourier = mub.build_fourier
-
+    # tolerance, I|F with F's own unitarity defect (only the member is skewed;
+    # the structural identities build their own F)
     def skewed(d):
-        return DenseUnitary(d, fourier(d).entries * (1 + 1e-7))
+        family = build_family(d)
+        bases = [(label, DenseUnitary(d, b.entries * (1 + 1e-7)) if label == "F" else b) for label, b in family.bases]
+        return mub.MubFamily(d, tuple(bases), family.recipe)
 
-    monkeypatch.setattr(mub, "build_fourier", skewed)
+    monkeypatch.setattr(cli, "build_family", skewed)
     for argv in (["verify", "--dims", "5"], ["build", "--dim", "5"]):
         code, doc = run_json(capsys, argv)
         assert code == EXIT_FAILURES
@@ -646,6 +656,14 @@ def test_check_arguments_are_usage_errors_found_before_the_output_is_opened(tmp_
         ["gauss", "even", "--d", str(10**20)],
         ["gauss", "trace", "--d", "100000000000000000001", "--k", "1"],
         ["gauss", "trace", "--d", "1000000001", "--k", "1"],
+        # explicit multiplier and offset spans of more than 10**6 values, which
+        # would be listed one by one
+        ["seq", "gauss", "--d", "3", "--k", "1..100000000000"],
+        ["gauss", "trace", "--d", "3", "--k", "1..100000000000"],
+        ["gauss", "identity", "--d", "3", "--l", "1..100000000000"],
+        ["gauss", "identity", "--d", "3", "--l", "1..100000000000", "--allow-noncoprime"],
+        ["gauss", "reciprocity", "--a", "1", "--d", "3", "--b", "0..100000000000"],
+        ["gauss", "reciprocity", "--a", "1", "--d", "3", "--b", "0..1000000"],
     ]
     for argv in refused:
         target.write_text("an earlier report\n")
@@ -656,9 +674,12 @@ def test_check_arguments_are_usage_errors_found_before_the_output_is_opened(tmp_
     # the bounds come from the least prime in --d
     assert main(["gauss", "powersums", "--d", "5..7", "--k", "1..4", "--m=-4..4"]) == EXIT_OK
     assert main(["search", "--d", "1", "--alphabet", "1"]) == EXIT_OK
-    # a length of 10**9 itself is planned; running a check that long would
-    # allocate gigabytes, so only _plan is called
+    # a length of 10**9 itself, and a span of 10**6 values, is planned;
+    # running a check that long would allocate gigabytes, so only _plan is called
     for argv in (
+        ["seq", "gauss", "--d", "3", "--k", "1..1000000"],
+        ["gauss", "identity", "--d", "3", "--l", "1..1000000", "--allow-noncoprime"],
+        ["gauss", "reciprocity", "--a", "1", "--d", "3", "--b=-1000000..-1"],
         ["seq", "gauss", "--d", "999999999", "--k", "1"],
         ["gauss", "identity", "--d", "999999999", "--l", "1"],
         ["gauss", "reciprocity", "--a", "1000000000", "--d", "1000000000"],
@@ -746,3 +767,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "summary:" in proc.stdout
+
+
+def test_cli_imports_only_public_library_names_and_traced_layers_resolve(monkeypatch):
+    # the paper's claims live in the library, so the CLI needs no private name
+    # of a sibling module
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module and (node.level or node.module.startswith("circulant_mub"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    # perfbench/tracer.py rebinds each LAYER_OF name throughout the package,
+    # so every one must still name a function of the package
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    for name in tracer.LAYER_OF:
+        module, *path = name.split(".")
+        target = importlib.import_module(f"circulant_mub.{module}")
+        for attribute in path:
+            target = getattr(target, attribute, None)
+        assert callable(target), name

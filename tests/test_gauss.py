@@ -14,7 +14,7 @@ from circulant_mub import (
     smallest_nontrivial_divisor,
     verify_even_gauss,
 )
-from circulant_mub.gauss import _power_sum_deviations
+from circulant_mub.gauss import power_sum_deviations
 from test_cli import verify_triangular_trace
 
 
@@ -166,7 +166,7 @@ def test_rotation_power_sums():
     for d in (3, 5, 7, 11, 13):
         for k in range(1, d):
             for m in (0, 1, 2):
-                dev_d, dev_k = _power_sum_deviations(d, [k], [m])
+                dev_d, dev_k = power_sum_deviations(d, [k], [m])
                 assert dev_d.shape == dev_k.shape == (1, 1)
                 assert dev_d[0, 0] < 1e-11, (d, k, m)
                 assert dev_k[0, 0] < 1e-11, (d, k, m)
@@ -174,8 +174,8 @@ def test_rotation_power_sums():
 
 def test_rotation_power_sums_validation():
     with pytest.raises(ValueError):
-        _power_sum_deviations(9, [1], [0])
+        power_sum_deviations(9, [1], [0])
     with pytest.raises(ValueError):
-        _power_sum_deviations(7, [0], [0])
+        power_sum_deviations(7, [0], [0])
     with pytest.raises(ValueError):
-        _power_sum_deviations(7, [2], [7])
+        power_sum_deviations(7, [2], [7])

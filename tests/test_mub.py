@@ -15,6 +15,7 @@ from circulant_mub import (
     circulant_power,
     default_tolerance,
     diagonalize_circulant,
+    is_prime,
     is_unitary,
     is_unitary_hadamard,
     multiply,
@@ -22,8 +23,8 @@ from circulant_mub import (
     verify_family,
 )
 from circulant_mub import mub
-from circulant_mub.linalg import as_matrix
-from circulant_mub.mub import _identity
+from circulant_mub.linalg import _circulant_hadamard_deviation, as_matrix
+from circulant_mub.mub import _identity, coprime_power_mismatches, structural_identities
 
 
 def test_recipe_labels_are_stable():
@@ -257,3 +258,44 @@ def test_identity_row_measures_each_member_unitary():
             else:
                 defect = is_unitary(member).deviation
             assert identity_row[label] >= defect - 1e-15, (d, label)
+
+
+def test_structural_identities_hold_within_the_default_tolerance():
+    for d in range(2, 32):
+        found = structural_identities(d)
+        expected = [
+            ("clock-shift-commutation", {"d": d}),
+            ("fourier-diagonalizes-shift", {"d": d}),
+            ("fourier-square-is-reversal", {"d": d}),
+            ("fourier-order-four", {"d": d}),
+        ]
+        if d % 2 and is_prime(d):
+            expected += [(name, {"d": d}) for name in ("rotation-diagonalization", "rotation-clock-conjugation")]
+            expected.append(("rotation-order", {"d": d}))
+            for k in sorted({1, 2, d - 2, d - 1}):
+                expected += [("rotation-power-clock", {"d": d, "k": k}), ("phased-fourier-identity", {"d": d, "k": k})]
+        assert [(check, case) for check, case, _ in found] == expected
+        assert all(deviation <= default_tolerance(d) for _, _, deviation in found), (d, found)
+
+
+def power_hadamard_deviations(d):
+    """The per-power loop coprime_power_mismatches replaced: each R**k built
+    as a circulant power and measured from its own first column and
+    spectrum, for k = 1..d-1."""
+    rotation = build_rotation(d)
+    deviations = []
+    for k in range(1, d):
+        r_k = circulant_power(rotation, k)
+        deviations.append(_circulant_hadamard_deviation(r_k.first_column, diagonalize_circulant(r_k)))
+    return deviations
+
+
+def test_coprime_power_mismatches_match_the_per_power_loop():
+    for d in [d for d in range(9, 400, 2) if not is_prime(d)]:
+        deviations = power_hadamard_deviations(d)
+        for base in (1e-9, 1e-6, 1e-14):
+            tol = default_tolerance(d, base)
+            wrong = [k for k, dev in enumerate(deviations, 1) if (dev <= tol) != (math.gcd(k, d) == 1)]
+            assert coprime_power_mismatches(d, tol) == wrong, (d, base)
+    # below the rounding of the powers the rule fails, and the list says where
+    assert coprime_power_mismatches(81, default_tolerance(81, 1e-16)) != []
