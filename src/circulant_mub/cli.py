@@ -32,11 +32,12 @@ The --tol flag (or the MUB_DEFAULT_TOL environment variable) sets the
 tolerance base; matrix identity checks scale it by sqrt(d), scalar Gauss
 sum checks use it as an absolute bound.  A family is built unchecked and
 measured once, by its pair-unbiased records: the pair of the identity with a
-member measures that member's own unitarity.  --dense-cap bounds the
-dimensions build, verify and sweep accept; _plan refuses a larger one, a
-gauss or seq length above MAX_MODULUS, an explicit --k, --l, --m or --b span
-of more than MAX_SPAN values, and powersums and search arguments outside what
-their checks accept, as a usage error before any check is built.
+member measures that member's own unitarity.  Every span goes through
+parse_span and every other bound through _check_bounds, so _plan refuses a
+build, verify or sweep dimension above --dense-cap, a gauss or seq length
+above MAX_MODULUS, any span of more than MAX_SPAN values, a reciprocity plan
+of more (a, d) pairs, and powersums and search arguments outside what their
+checks accept, as a usage error before any check is built.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ SCHEMA = "mub-report/1"
 DEFAULT_TOL_BASE = 1e-9
 TOL_ENV_VAR = "MUB_DEFAULT_TOL"
 MAX_MODULUS = 10**9  # the largest d whose exponent products stay within int64 (phase_ring)
-MAX_SPAN = 10**6  # the most values an explicit --k, --l, --m or --b span may list
+MAX_SPAN = 10**6  # the most values a span may list, and the most (a, d) pairs reciprocity plans
 
 
 class UsageError(Exception):
@@ -139,37 +140,32 @@ def _summary(records: list[dict]) -> dict:
 # argument handling
 
 
-def parse_span(text: str) -> range:
-    """'7' -> 7..7, '2..30' -> 2..30 (inclusive bounds)."""
+def _check_bounds(flag: str, values, lo: int | None = None, hi: int | None = None) -> None:
+    """Refuse an int, or a span's first..last, that reaches below lo or above hi."""
+    first, last = (values[0], values[-1]) if isinstance(values, range) else (values, values)
+    if (lo is None or first >= lo) and (hi is None or last <= hi):
+        return
+    bound = f"be >= {lo}" if hi is None else f"be at most {hi}" if lo is None else f"lie in {lo}..{hi}"
+    raise UsageError(f"{flag} must {bound}, got {first if first == last else f'{first}..{last}'}")
+
+
+def parse_span(text: str, flag: str = "span", lo: int | None = None, hi: int | None = None) -> range:
+    """'7' -> 7..7, '2..30' -> 2..30 (inclusive bounds); a malformed or empty span,
+    or one that reaches outside lo..hi or lists more than MAX_SPAN values, is a UsageError."""
     try:
         if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
+            first_text, last_text = text.split("..", 1)
+            first, last = int(first_text), int(last_text)
         else:
-            lo = hi = int(text)
+            first = last = int(text)
     except ValueError as exc:
         raise UsageError(f"malformed span {text!r}, expected N or A..B") from exc
-    if lo > hi:
+    if first > last:
         raise UsageError(f"empty span {text!r} (lower bound exceeds upper)")
-    return range(lo, hi + 1)
-
-
-def _modulus_span(text: str, flag: str) -> range:
-    """parse_span for a Gauss sum or sequence length, refusing one above
-    MAX_MODULUS before any check lists or indexes that many terms."""
-    span = parse_span(text)
-    if span[-1] > MAX_MODULUS:
-        raise UsageError(f"{flag} must be at most {MAX_MODULUS}, got {span[-1]}")
-    return span
-
-
-def _parameter_span(text: str | None, flag: str) -> range | None:
-    """parse_span for an optional span, refusing one of more than MAX_SPAN values."""
-    if not text:
-        return None
-    span = parse_span(text)
-    if span.stop - span.start > MAX_SPAN:
-        raise UsageError(f"{flag} may span at most {MAX_SPAN} values, got {span.stop - span.start}")
+    span = range(first, last + 1)
+    _check_bounds(flag, span, lo, hi)
+    if last - first >= MAX_SPAN:
+        raise UsageError(f"{flag} may span at most {MAX_SPAN} values, got {last - first + 1}")
     return span
 
 
@@ -452,27 +448,21 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
     the document body a build check fills in (empty for other commands)."""
     payload = {}
     checks = []
-    if args.dense_cap < 1:
-        raise UsageError(f"--dense-cap must be >= 1, got {args.dense_cap}")
+    _check_bounds("--dense-cap", args.dense_cap, lo=1)
     if args.command == "build":
-        if args.dim < 2:
-            raise UsageError(f"--dim must be >= 2, got {args.dim}")
+        _check_bounds("--dim", args.dim, lo=2)
         _check_cap(range(args.dim, args.dim + 1), args.dense_cap)
         checks = [partial(_family_records, args.dim, base_tol, payload)]
     elif args.command == "search":
-        if not 1 <= args.dim <= 6:
-            raise UsageError(f"search --d must lie in 1..6, got {args.dim}")
-        if not 1 <= args.alphabet <= 12:
-            raise UsageError(f"search --alphabet must lie in 1..12, got {args.alphabet}")
+        _check_bounds("search --d", args.dim, 1, 6)
+        _check_bounds("search --alphabet", args.alphabet, 1, 12)
         checks = [partial(_search_records, args.dim, args.alphabet, base_tol)]
     elif args.command == "seq":
-        dims = _modulus_span(args.d_span, "--d")
-        k_span = _parameter_span(args.k_span, "--k")
+        dims = parse_span(args.d_span, "--d", hi=MAX_MODULUS)
+        k_span = parse_span(args.k_span, "--k") if args.k_span else None
         checks = [partial(_seq_check, d, k_span, base_tol) for d in _odd_dims(dims, "seq gauss")]
     elif args.command in ("verify", "sweep"):
-        dims = parse_span(args.dims)
-        if dims.start < 2:
-            raise UsageError(f"verification needs dimensions >= 2, got span starting at {dims.start}")
+        dims = parse_span(args.dims, "--dims", lo=2)
         _check_cap(dims, args.dense_cap)
         checks = [partial(_verify_check, d, base_tol) for d in dims]
         if args.command == "sweep":
@@ -486,10 +476,12 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
     elif args.d_span is None:
         raise UsageError("gauss requires --d")
     else:
-        dims = _modulus_span(args.d_span, "--d")
-        l_span = _parameter_span(args.l_span, "--l")
-        k_span = _parameter_span(args.k_span, "--k")
-        m_span = _parameter_span(args.m_span, "--m")
+        dims = parse_span(args.d_span, "--d", hi=MAX_MODULUS)
+        # every mode parses every span it was given, used or not
+        a_span, b_span, k_span, l_span, m_span = (
+            parse_span(text, f"--{name}") if text else None
+            for name, text in zip("abklm", (args.a_span, args.b_span, args.k_span, args.l_span, args.m_span))
+        )
         if args.mode == "identity":
             for d in _odd_dims(dims, "identity mode"):
                 multipliers = list(l_span) if l_span is not None else _coprime(range(1, d), d)
@@ -500,12 +492,12 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
                         )
                 checks.append(partial(_identity_check, d, multipliers, base_tol))
         elif args.mode == "reciprocity":
-            a_span = _modulus_span(args.a_span, "--a") if args.a_span else range(1, 21)
-            b_span = _parameter_span(args.b_span, "--b")
-            if a_span.start < 1:
-                raise UsageError("reciprocity mode sweeps a >= 1")
-            if dims.start < 1:
-                raise UsageError("reciprocity mode sweeps d >= 1")
+            a_span = a_span or range(1, 21)
+            _check_bounds("--a", a_span, 1, MAX_MODULUS)
+            _check_bounds("--d", dims, lo=1)
+            pairs = len(a_span) * len(dims)
+            if pairs > MAX_SPAN:
+                raise UsageError(f"--a x --d may list at most {MAX_SPAN} (a, d) pairs, got {pairs}")
             checks = [partial(_reciprocity_check, a, d, b_span, base_tol) for a in a_span for d in dims]
         elif args.mode == "even":
             even_dims = [d for d in dims if d % 2 == 0 and d >= 2]
@@ -523,10 +515,10 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
             if not primes:
                 raise UsageError("powersums mode needs at least one odd prime in --d")
             p = primes[0]  # the least prime bounds k and m for every prime in --d
-            if k_span is not None and not 1 <= k_span.start <= k_span[-1] <= p - 1:
-                raise UsageError(f"powersums --k must lie in 1..{p - 1} for d={p}, got {args.k_span}")
-            if m_span is not None and max(-m_span.start, m_span[-1]) > p - 1:
-                raise UsageError(f"powersums --m must lie in -{p - 1}..{p - 1} for d={p}, got {args.m_span}")
+            if k_span:
+                _check_bounds(f"powersums --k for d={p}", k_span, 1, p - 1)
+            if m_span:
+                _check_bounds(f"powersums --m for d={p}", m_span, 1 - p, p - 1)
             checks = [partial(_powersums_check, d, k_span, m_span, base_tol) for d in primes]
     return checks, payload
 

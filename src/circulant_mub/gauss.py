@@ -178,9 +178,7 @@ def shift_sums(d: int, l: int) -> np.ndarray:
 def gauss_identity_sweep(d: int, l: int) -> np.ndarray:
     """Deviations | |sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k))| - sqrt(d) |
     for every j = 0 .. d-1 at once.  Requires odd d and gcd(l, d) = 1."""
-    _check_dimension(d)
-    if d % 2 == 0 or d < 3:
-        raise ValueError(f"need an odd dimension >= 3, got {d}")
+    _check_dimension(d, 3, "odd", "Gauss identity modulus")
     if math.gcd(l, d) != 1:
         raise ValueError(f"l={l} must be coprime with d={d}")
     return np.abs(np.abs(shift_sums(d, l)) - math.sqrt(d))
@@ -196,9 +194,7 @@ def triangular_trace_deviations(d: int, ks) -> np.ndarray:
 
 def verify_even_gauss(d: int) -> float:
     """| |S(1, 0, d)| - sqrt(d) | for even d."""
-    _check_dimension(d)
-    if d % 2:
-        raise ValueError(f"even-dimension identity needs even d, got {d}")
+    _check_dimension(d, 2, "even", "even Gauss sum modulus")
     return float(abs(abs(_direct(1, 0, d)) - math.sqrt(d)))
 
 

@@ -125,9 +125,7 @@ def build_fourier(d: int) -> DenseUnitary:
 
 def build_clock(d: int) -> DiagonalUnitary:
     """The clock matrix diag(1, omega, omega**2, ...)."""
-    _check_dimension(d)
-    if d < 2:
-        raise ValueError(f"clock matrix needs dimension >= 2, got {d}")
+    _check_dimension(d, 2, what="clock matrix dimension")
     return DiagonalUnitary(d, 2 * np.arange(d, dtype=np.int64))
 
 
@@ -135,9 +133,7 @@ def build_shift(d: int) -> CirculantMatrix:
     """The cyclic shift: ones on the superdiagonal, one in the lower-left
     corner; as a circulant its first column is the last standard basis
     vector.  Conjugating by F turns it into the clock matrix."""
-    _check_dimension(d)
-    if d < 2:
-        raise ValueError(f"shift matrix needs dimension >= 2, got {d}")
+    _check_dimension(d, 2, what="shift matrix dimension")
     column = np.zeros(d, dtype=np.complex128)
     column[d - 1] = 1.0
     return CirculantMatrix(d, _freeze(column))
@@ -146,26 +142,20 @@ def build_shift(d: int) -> CirculantMatrix:
 def build_triangular_diagonal(d: int) -> DiagonalUnitary:
     """diag(omega**(k*(k+1)/2)) for odd d; the eigenphase pattern of the
     rotation matrix up to one overall unit scalar."""
-    _check_dimension(d)
-    if d % 2 == 0:
-        raise ValueError(f"triangular diagonal requires odd dimension, got {d}")
+    _check_dimension(d, 1, "odd", "triangular diagonal dimension")
     return DiagonalUnitary(d, triangular_phase(np.arange(d, dtype=np.int64), 1, d))
 
 
 def build_square_diagonal(d: int) -> DiagonalUnitary:
     """diag(omega**(-k*k/2)) for even d."""
-    _check_dimension(d)
-    if d % 2:
-        raise ValueError(f"square diagonal requires even dimension, got {d}")
+    _check_dimension(d, 2, "even", "square diagonal dimension")
     return DiagonalUnitary(d, square_phase(np.arange(d, dtype=np.int64), d))
 
 
 def build_rotation(d: int) -> CirculantMatrix:
     """R = d**-0.5 * circ(c) with c[k] = omega**(-k*(k+1)/2) for odd d and
     c[k] = omega**(-k*k/2) for even d.  Unitary Hadamard in every dimension."""
-    _check_dimension(d)
-    if d < 2:
-        raise ValueError(f"rotation matrix needs dimension >= 2, got {d}")
+    _check_dimension(d, 2, what="rotation matrix dimension")
     k = np.arange(d, dtype=np.int64)
     t = triangular_phase(k, -1, d) if d % 2 else square_phase(k, d)
     return CirculantMatrix(d, _freeze(root_table(d)[t] / math.sqrt(d)))
@@ -177,9 +167,7 @@ def build_phased_fourier(d: int, k: int) -> DenseUnitary:
     Equal to (triangular diagonal)**-k followed by F; entry (j, m) is
     d**-0.5 * exp(i*pi*(2*j*m - k*j*(j+1))/d).  Odd d only.
     """
-    _check_dimension(d)
-    if d % 2 == 0:
-        raise ValueError(f"phased Fourier requires odd dimension, got {d}")
+    _check_dimension(d, 1, "odd", "phased Fourier dimension")
     j = np.arange(d, dtype=np.int64)
     t = (2 * np.outer(j, j) + triangular_phase(j, -k, d)[:, None]) % (2 * d)
     entries = root_table(d)[t] / math.sqrt(d)
@@ -199,9 +187,7 @@ def build_index_reversal(d: int) -> DenseUnitary:
 def rotation_scalar(d: int) -> complex:
     """The unit scalar alpha = d**-0.5 * sum_k omega**(-k*(k+1)/2) relating
     the odd-d rotation matrix to the triangular diagonal: R = alpha F D F*."""
-    _check_dimension(d)
-    if d % 2 == 0:
-        raise ValueError(f"rotation scalar is defined for odd dimension, got {d}")
+    _check_dimension(d, 1, "odd", "rotation scalar dimension")
     t = triangular_phase(np.arange(d, dtype=np.int64), -1, d)
     return complex(root_table(d)[t].sum() / math.sqrt(d))
 

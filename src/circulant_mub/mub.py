@@ -61,7 +61,7 @@ from .linalg import (
     power,
     rotation_scalar,
 )
-from .phase_ring import root_table
+from .phase_ring import _check_dimension, root_table
 
 
 class Recipe(str, Enum):
@@ -126,8 +126,7 @@ def build_family(d: int) -> MubFamily:
     verify_family's pairs with the identity measure each other member's
     unitarity, and every other pair its unbiasedness.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"mutually unbiased families need dimension >= 2, got {d}")
+    _check_dimension(d, 2, what="mutually unbiased family dimension")
     if d == 2:
         bases = _d_two_bases()
         recipe = Recipe.D_TWO
@@ -213,8 +212,7 @@ class EvenSquareCheck:
 
 def negative_check_even(d: int, tol: float | None = None) -> EvenSquareCheck:
     """Square the even-dimension rotation densely and document the defect."""
-    if d < 4 or d % 2:
-        raise ValueError(f"the rotation-square probe needs even d >= 4, got {d}")
+    _check_dimension(d, 4, "even", "rotation-square probe dimension")
     if tol is None:
         tol = default_tolerance(d)
     _check_tolerance(tol)

@@ -23,9 +23,11 @@ from functools import lru_cache
 import numpy as np
 
 
-def _check_dimension(d: int) -> None:
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+def _check_dimension(d: int, least: int = 1, parity: str | None = None, what: str = "dimension") -> None:
+    """Refuse d unless it is an integer >= least, and "even" or "odd" when
+    parity asks for one; what names the object in the message."""
+    if not isinstance(d, (int, np.integer)) or d < least or (parity and d % 2 != (parity == "odd")):
+        raise ValueError(f"{what} must be an {parity + ' ' if parity else ''}integer >= {least}, got {d!r}")
 
 
 @lru_cache(maxsize=None)
@@ -72,9 +74,7 @@ def triangular_phase(j, l: int, d: int):
 def square_phase(j, d: int):
     """Exponent of omega**(-j**2/2) = exp(-i*pi*j*j/d), for even d only and
     an int or an int array j."""
-    _check_dimension(d)
-    if d % 2:
-        raise ValueError(f"square_phase requires an even dimension, got {d}")
+    _check_dimension(d, 2, "even", "square_phase dimension")
     m = 2 * int(d)
     j = j % m
     return -(j * j) % m

@@ -92,9 +92,7 @@ def gauss_sequence(d: int, k: int) -> Sequence:
     The exponent k*j*(j+1) is even, so g(k) lives on the d-th roots of
     unity; it is bi-unimodular exactly when gcd(k, d) = 1.
     """
-    _check_dimension(d)
-    if d % 2 == 0 or d < 3:
-        raise ValueError(f"Gauss sequences need an odd dimension >= 3, got {d}")
+    _check_dimension(d, 3, "odd", "Gauss sequence length")
     values = root_table(d)[triangular_phase(np.arange(d, dtype=np.int64), k, d)]
     values.setflags(write=False)
     return Sequence(d, values)

@@ -65,6 +65,20 @@ def test_parse_span():
         parse_span("5..2")
     with pytest.raises(UsageError):
         parse_span("abc")
+    # bounds and length: each refusal names the flag
+    assert parse_span("2..10", "--d", lo=2, hi=10) == range(2, 11)
+    assert len(parse_span(f"1..{cli.MAX_SPAN}", "--k")) == cli.MAX_SPAN
+    for args, message in (
+        (("1..5", "--dims", 2), "--dims must be >= 2, got 1..5"),
+        (("3..11", "--d", None, 10), "--d must be at most 10, got 3..11"),
+        (("0", "--a", 1, 10), "--a must lie in 1..10, got 0"),
+        (("11", "--a", 1, 10), "--a must lie in 1..10, got 11"),
+        ((f"1..{cli.MAX_SPAN + 1}", "--k"), f"--k may span at most {cli.MAX_SPAN} values, got {cli.MAX_SPAN + 1}"),
+        ((f"-{10**20}..0", "--b"), f"--b may span at most {cli.MAX_SPAN} values, got {10**20 + 1}"),
+    ):
+        with pytest.raises(UsageError) as excinfo:
+            parse_span(*args)
+        assert str(excinfo.value) == message
 
 
 def test_build_document(capsys):
@@ -664,6 +678,11 @@ def test_check_arguments_are_usage_errors_found_before_the_output_is_opened(tmp_
         ["gauss", "identity", "--d", "3", "--l", "1..100000000000", "--allow-noncoprime"],
         ["gauss", "reciprocity", "--a", "1", "--d", "3", "--b", "0..100000000000"],
         ["gauss", "reciprocity", "--a", "1", "--d", "3", "--b", "0..1000000"],
+        # --d and --a spans of more than 10**6 values, and reciprocity plans of
+        # more than 10**6 (a, d) pairs, which would be listed one by one
+        ["seq", "gauss", "--d", "3..999999999"],
+        ["gauss", "reciprocity", "--a", "1..1000000000", "--d", "1..1000000000"],
+        ["gauss", "reciprocity", "--a", "1..1000", "--d", "1..1001"],
     ]
     for argv in refused:
         target.write_text("an earlier report\n")
@@ -688,6 +707,28 @@ def test_check_arguments_are_usage_errors_found_before_the_output_is_opened(tmp_
     ):
         checks, _ = cli._plan(cli._build_parser().parse_args(argv), 1e-9)
         assert len(checks) == 1, argv
+
+
+def test_every_span_flag_is_bounded_in_length():
+    # every span option of every subcommand and gauss mode, those a mode
+    # ignores included, refuses MAX_SPAN + 1 values in _plan
+    parser = cli._build_parser()
+    valid = {"verify": ["--dims", "2"], "sweep": ["--dims", "2"], "even": ["--d", "2"]}
+    long_span = f"2..{2 + cli.MAX_SPAN}"
+    flags_seen = set()
+    for command, subparser in parser._subparsers._group_actions[0].choices.items():
+        modes = next((a.choices for a in subparser._actions if a.dest == "mode"), [None])
+        flags = [
+            a.option_strings[0] for a in subparser._actions if a.dest.endswith("_span") or a.dest == "dims"
+        ]
+        for mode in modes if flags else []:
+            base = [command, *([mode] if mode else []), *valid.get(mode, valid.get(command, ["--d", "3"]))]
+            assert cli._plan(parser.parse_args(base), 1e-9)[0], base
+            for flag in flags:
+                with pytest.raises(cli.UsageError, match=f"^{flag} may span at most"):
+                    cli._plan(parser.parse_args(base + [flag, long_span, "--dense-cap", str(10**7)]), 1e-9)
+                flags_seen.add(flag)
+    assert flags_seen == {"--dims", "--d", "--a", "--b", "--k", "--l", "--m"}
 
 
 def test_unwritable_output_is_a_usage_error_found_before_any_check(tmp_path, capsys, monkeypatch):

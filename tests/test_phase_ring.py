@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from circulant_mub import gauss, linalg, mub, sequences
 from circulant_mub import (
     phase_of_omega,
     root_table,
@@ -92,6 +93,35 @@ def test_bad_dimension_rejected():
             phase_of_omega(1, bad)
         with pytest.raises(ValueError):
             triangular_phase(1, 1, bad)
+
+
+# every guarded constructor of the package: (call of d, least d, parity)
+DIMENSION_GUARDS = [
+    pytest.param(lambda d: square_phase(1, d), 2, "even", id="square_phase"),
+    pytest.param(linalg.build_clock, 2, None, id="build_clock"),
+    pytest.param(linalg.build_shift, 2, None, id="build_shift"),
+    pytest.param(linalg.build_triangular_diagonal, 1, "odd", id="build_triangular_diagonal"),
+    pytest.param(linalg.build_square_diagonal, 2, "even", id="build_square_diagonal"),
+    pytest.param(linalg.build_rotation, 2, None, id="build_rotation"),
+    pytest.param(lambda d: linalg.build_phased_fourier(d, 1), 1, "odd", id="build_phased_fourier"),
+    pytest.param(linalg.rotation_scalar, 1, "odd", id="rotation_scalar"),
+    pytest.param(lambda d: sequences.gauss_sequence(d, 1), 3, "odd", id="gauss_sequence"),
+    pytest.param(lambda d: gauss.gauss_identity_sweep(d, 1), 3, "odd", id="gauss_identity_sweep"),
+    pytest.param(gauss.verify_even_gauss, 2, "even", id="verify_even_gauss"),
+    pytest.param(mub.build_family, 2, None, id="build_family"),
+    pytest.param(mub.negative_check_even, 4, "even", id="negative_check_even"),
+]
+
+
+@pytest.mark.parametrize("call, least, parity", DIMENSION_GUARDS)
+def test_dimension_guards(call, least, parity):
+    # below the least (keeping the parity), the wrong parity, and not an integer
+    for bad in (least - (2 if parity else 1), least + 1 if parity else None, float(least)):
+        if bad is not None:
+            with pytest.raises(ValueError):
+                call(bad)
+    call(least)
+    call(np.int64(least))
 
 
 def test_shared_table_instance_per_dimension():
