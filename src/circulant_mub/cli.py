@@ -23,7 +23,8 @@ that dict straight into the --output file or stdout, which is opened before
 any check runs.  json and text scale each member only as they write it
 (scale * entries), csv writes the member's own entries.  The json writer
 emits the bytes of json.dump(doc, indent=2) one top-level key, record and
-family member at a time, and formats each distinct matrix entry once.
+family member at a time, fills each record into one template of its encoded
+keys, and formats each distinct matrix entry once.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 (a bad argument or an --output path that cannot be opened), 3 internal error
 (an unexpected exception, reported with its traceback on stderr).
@@ -624,7 +625,9 @@ def _entry_texts(entries: np.ndarray, cell) -> np.ndarray:
 
 def _json_text(value, level: int = 0) -> str:
     """value as json.dump(value, indent=2) writes it at nesting depth level; a
-    complex matrix (2-D, non-empty) is written as rows of [re, im] pairs."""
+    complex matrix (2-D, non-empty) is written as rows of [re, im] pairs.  The
+    records of a report skip this walk: _item_text fills each one into its
+    template, and renders only the case and other values here."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
@@ -652,10 +655,60 @@ def _json_text(value, level: int = 0) -> str:
     return brackets[0] + inner + f",{inner}".join(items) + "\n" + _INDENT * level + brackets[1]
 
 
+_RECORD_KEYS = ("check", "case", "passed", "deviation", "tolerance", "detail", "elapsed_s")  # _record's, in order
+
+
+def _float_text(value, previous: list, level: int) -> str:
+    """_json_text(value, level) for one record field; previous holds [value,
+    text] of the same field in the last record.  A nonzero value of exactly
+    type float that equals the previous one reuses its text: equal nonzero
+    floats have equal bits, so -0.0 never aliases 0.0, and 1 or True never
+    alias 1.0."""
+    if type(value) is not float:
+        return _json_text(value, level)
+    if value and value == previous[0]:
+        return previous[1]
+    text = _json_text(value)
+    previous[:] = value, text
+    return text
+
+
+def _item_text(level: int):
+    """A function of one item that returns _json_text(item, level).  An item
+    that is exactly a record, a dict with _record's seven keys in _record's
+    order, is filled into one template built once for the level: its keys are
+    encoded once, check and detail are encoded strings, passed a literal, case
+    goes through _json_text, and each float field reuses the last record's
+    text when the value repeats (records come out of _run sorted, so tolerance
+    and elapsed_s repeat across a check group).  Any other item goes through
+    _json_text."""
+    inner = "\n" + _INDENT * (level + 1)
+    template = ",".join(f"{inner}{encode_basestring_ascii(k)}: %s" for k in _RECORD_KEYS)
+    template = "{" + template + "\n" + _INDENT * level + "}"
+    deviations, tolerances, elapsed = [0.0, ""], [0.0, ""], [0.0, ""]
+
+    def text(item) -> str:
+        if type(item) is not dict or tuple(item) != _RECORD_KEYS:
+            return _json_text(item, level)
+        check, case, passed, deviation, tolerance, detail, elapsed_s = item.values()
+        return template % (
+            encode_basestring_ascii(check) if type(check) is str else _json_text(check, level + 1),
+            _json_text(case, level + 1),
+            "true" if passed is True else "false" if passed is False else _json_text(passed, level + 1),
+            _float_text(deviation, deviations, level + 1),
+            _float_text(tolerance, tolerances, level + 1),
+            encode_basestring_ascii(detail) if type(detail) is str else _json_text(detail, level + 1),
+            _float_text(elapsed_s, elapsed, level + 1),
+        )
+
+    return text
+
+
 def _write_json(value, write, level: int = 0) -> None:
     """Write _json_text(value, level) without ever holding it as one string:
-    a dict one key at a time, a list or generator one whole item at a time,
-    and a MubFamily as its _family_payload."""
+    a dict one key at a time, a list or generator one whole item at a time
+    (a record through _item_text's template, its float texts reused while
+    they repeat), and a MubFamily as its _family_payload."""
     if isinstance(value, MubFamily):
         value = _family_payload(value)
     inner = "\n" + _INDENT * (level + 1)
@@ -667,9 +720,9 @@ def _write_json(value, write, level: int = 0) -> None:
             separator = "," + inner
         write("\n" + _INDENT * level + "}")
     elif isinstance(value, (list, tuple, GeneratorType)) and value:
-        separator = "[" + inner
+        separator, text = "[" + inner, _item_text(level + 1)
         for item in value:
-            write(separator + _json_text(item, level + 1))
+            write(separator + text(item))
             separator = "," + inner
         write("\n" + _INDENT * level + "]")
     else:

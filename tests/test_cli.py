@@ -523,6 +523,12 @@ def test_json_writer_streams_one_member_or_record_at_a_time(monkeypatch):
         assert max(map(len, chunks)) < len(text) / parts
 
 
+def test_record_keys_are_the_json_template_keys():
+    # the json writer fills its record template only for dicts with exactly
+    # these keys in this order, so a field added to _record must be added there
+    assert tuple(cli._record("c", {}, None)) == cli._RECORD_KEYS
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_build_report_scales_one_member_at_a_time(monkeypatch, fmt):
     # the 62 scaled members of d = 61 take 3.7 MB when they are held at once

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circulant_mub import (
@@ -244,3 +244,63 @@ def test_json_writer_matches_json_dump(doc, records):
     written = io.StringIO()
     cli._write_json(doc, written.write)
     assert written.getvalue() == expected.getvalue()
+
+
+# values that compare equal but print differently (0.0 / -0.0, 1 / 1.0 /
+# True), values equal to nothing (NaN), the infinities and None: the float
+# texts _write_json reuses from one record to the next must never cross them
+NEIGHBOURS = [0.0, -0.0, 0.0, 1.0, 1, 1.0, True, 1.0, False, 0, -0.0, math.nan, math.nan, math.inf, math.inf]
+NEIGHBOURS += [-math.inf, -math.inf, None, 2.5e-13, 2.5e-13, 2.5e-13, 1e-9]
+record_number = st.sampled_from(NEIGHBOURS) | json_float
+
+
+@st.composite
+def report_record(draw):
+    """A dict with a record's seven keys: neighbouring numbers, bools and None
+    in passed and the float fields, any text in check and detail, any JSON in
+    case.  A third of them have the keys in another order and a third an
+    extra key, neither of which is a record."""
+    record = {
+        "check": draw(json_string),
+        "case": draw(st.dictionaries(json_string, json_doc, max_size=3)),
+        "passed": draw(record_number),
+        "deviation": draw(record_number),
+        "tolerance": draw(record_number),
+        "detail": draw(json_string),
+        "elapsed_s": draw(record_number),
+    }
+    shape = draw(st.sampled_from(["record", "reordered", "extra key"]))
+    if shape == "reordered":
+        keys = draw(st.permutations(list(record)).filter(lambda keys: keys != list(record)))
+        record = {key: record[key] for key in keys}
+    elif shape == "extra key":
+        record[draw(json_string.filter(lambda key: key not in record))] = draw(json_doc)
+    return record
+
+
+def neighbour_records():
+    # every field but case and detail steps through NEIGHBOURS, one record at a time
+    return [
+        {
+            "check": "pair-unbiased",
+            "case": {"d": 7, "pair": "é|\x00 ", "nested": {"k": [1, 1.0, -0.0]}, "empty": {}},
+            "passed": value,
+            "deviation": value,
+            "tolerance": value,
+            "detail": "\x1fé\U0001d11e",
+            "elapsed_s": value,
+        }
+        for value in NEIGHBOURS
+    ]
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(records=st.lists(report_record(), max_size=6))
+@example(records=neighbour_records())
+def test_json_writer_matches_json_dump_on_record_shaped_dicts(records):
+    for doc in ({"schema": "mub-report/1", "records": records}, records):
+        expected = io.StringIO()
+        json.dump(doc, expected, indent=2, default=json_dump_default)
+        written = io.StringIO()
+        cli._write_json(doc, written.write)
+        assert written.getvalue() == expected.getvalue()
