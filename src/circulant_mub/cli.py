@@ -29,16 +29,15 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 (a bad argument or an --output path that cannot be opened), 3 internal error
 (an unexpected exception, reported with its traceback on stderr).
 
-The --tol flag (or the MUB_DEFAULT_TOL environment variable) sets the
-tolerance base; matrix identity checks scale it by sqrt(d), scalar Gauss
-sum checks use it as an absolute bound.  A family is built unchecked and
-measured once, by its pair-unbiased records: the pair of the identity with a
-member measures that member's own unitarity.  Every span goes through
-parse_span and every other bound through _check_bounds, so _plan refuses a
-build, verify or sweep dimension above --dense-cap, a gauss or seq length
-above MAX_MODULUS, any span of more than MAX_SPAN values, a reciprocity plan
-of more (a, d) pairs, and powersums and search arguments outside what their
-checks accept, as a usage error before any check is built.
+The --tol flag sets the tolerance base; matrix identity checks scale it by
+sqrt(d), scalar Gauss sum checks use it as an absolute bound.  A family is
+built unchecked and measured once, by its pair-unbiased records: the pair of
+the identity with a member measures that member's own unitarity.  Every span
+goes through parse_span and every other bound through _check_bounds, so _plan
+refuses a build, verify or sweep dimension above MAX_DENSE, a gauss or seq
+length above phase_ring's MAX_MODULUS, any span of more than MAX_SPAN values,
+a reciprocity plan of more (a, d) pairs, and powersums and search arguments
+outside what their checks accept, as a usage error before any check is built.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 import time
 import traceback
@@ -78,7 +76,16 @@ from .mub import (
     structural_identities,
     verify_family,
 )
-from .sequences import alphabet_exponents, exhaustive_biunimodular, gauss_sequence, group_orbits, is_biunimodular
+from .phase_ring import MAX_MODULUS
+from .sequences import (
+    MAX_SEARCH_ALPHABET,
+    MAX_SEARCH_DIMENSION,
+    alphabet_exponents,
+    exhaustive_biunimodular,
+    gauss_sequence,
+    group_orbits,
+    is_biunimodular,
+)
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -87,8 +94,7 @@ EXIT_INTERNAL = 3
 
 SCHEMA = "mub-report/1"
 DEFAULT_TOL_BASE = 1e-9
-TOL_ENV_VAR = "MUB_DEFAULT_TOL"
-MAX_MODULUS = 10**9  # the largest d whose exponent products stay within int64 (phase_ring)
+MAX_DENSE = 512  # the largest build, verify or sweep dimension: their checks materialize d x d matrices
 MAX_SPAN = 10**6  # the most values a span may list, and the most (a, d) pairs reciprocity plans
 
 
@@ -116,16 +122,6 @@ def _bounded(check: str, case: dict, deviation: float, tolerance: float, detail:
 
 def case_text(record: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in record["case"].items())
-
-
-def sort_key(record: dict):
-    parts = []
-    for key, value in record["case"].items():
-        if isinstance(value, (int, float)):
-            parts.append((key, 0, float(value), ""))
-        else:
-            parts.append((key, 1, 0.0, str(value)))
-    return (record["check"], tuple(parts))
 
 
 def _summary(records: list[dict]) -> dict:
@@ -170,17 +166,7 @@ def parse_span(text: str, flag: str = "span", lo: int | None = None, hi: int | N
     return span
 
 
-def _resolve_tol(value: float | None) -> float:
-    if value is not None:
-        base = value
-    else:
-        env = os.environ.get(TOL_ENV_VAR)
-        if env is None:
-            return DEFAULT_TOL_BASE
-        try:
-            base = float(env)
-        except ValueError as exc:
-            raise UsageError(f"{TOL_ENV_VAR}={env!r} is not a number") from exc
+def _check_tol(base: float) -> float:
     if not base > 0 or not math.isfinite(base):
         raise UsageError(f"tolerance must be a positive finite number, got {base}")
     return base
@@ -188,10 +174,9 @@ def _resolve_tol(value: float | None) -> float:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="tolerance base (default 1e-9, or MUB_DEFAULT_TOL)")
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL_BASE, help="tolerance base (default 1e-9)")
     common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
     common.add_argument("--output", default=None, help="write the report to this file instead of stdout")
-    common.add_argument("--dense-cap", type=int, default=512, help="largest dimension materialized densely")
 
     parser = argparse.ArgumentParser(
         prog="circulant-mub",
@@ -434,29 +419,17 @@ def _odd_dims(dims: range, what: str) -> list[int]:
     return odd_dims
 
 
-def _check_cap(dims: range, cap: int) -> None:
-    """Refuse a dimension span that reaches above --dense-cap: the family
-    and identity checks materialize d x d matrices."""
-    if dims[-1] > cap:
-        raise UsageError(
-            f"dimension {max(dims[0], cap + 1)} exceeds the dense materialization cap {cap}; "
-            "raise it with --dense-cap if this is intentional"
-        )
-
-
 def _plan(args, base_tol: float) -> tuple[list, dict]:
     """Validate the arguments and turn them into zero-argument checks, plus
     the document body a build check fills in (empty for other commands)."""
     payload = {}
     checks = []
-    _check_bounds("--dense-cap", args.dense_cap, lo=1)
     if args.command == "build":
-        _check_bounds("--dim", args.dim, lo=2)
-        _check_cap(range(args.dim, args.dim + 1), args.dense_cap)
+        _check_bounds("--dim", args.dim, 2, MAX_DENSE)
         checks = [partial(_family_records, args.dim, base_tol, payload)]
     elif args.command == "search":
-        _check_bounds("search --d", args.dim, 1, 6)
-        _check_bounds("search --alphabet", args.alphabet, 1, 12)
+        _check_bounds("search --d", args.dim, 1, MAX_SEARCH_DIMENSION)
+        _check_bounds("search --alphabet", args.alphabet, 1, MAX_SEARCH_ALPHABET)
         checks = [partial(_search_records, args.dim, args.alphabet, base_tol)]
     elif args.command == "seq":
         dims = parse_span(args.d_span, "--d", hi=MAX_MODULUS)
@@ -464,7 +437,7 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
         checks = [partial(_seq_check, d, k_span, base_tol) for d in _odd_dims(dims, "seq gauss")]
     elif args.command in ("verify", "sweep"):
         dims = parse_span(args.dims, "--dims", lo=2)
-        _check_cap(dims, args.dense_cap)
+        _check_bounds("--dims", dims, hi=MAX_DENSE)  # after the span-length rule of parse_span
         checks = [partial(_verify_check, d, base_tol) for d in dims]
         if args.command == "sweep":
             for d in dims:
@@ -535,7 +508,7 @@ def _run(checks: list) -> list[dict]:
         for record in group:
             record["elapsed_s"] = elapsed
         records.extend(group)
-    records.sort(key=sort_key)
+    records.sort(key=lambda r: (r["check"], *r["case"].values()))  # one check's cases share keys and types
     return records
 
 
@@ -758,18 +731,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        base_tol = _resolve_tol(args.tol)
+        base_tol = _check_tol(args.tol)
         checks, payload = _plan(args, base_tol)
         with _destination(args.output) as handle:
             records = _run(checks)
-            config = {
-                "tolerance_base": base_tol,
-                "dense_cap": args.dense_cap,
-                "format": args.fmt,
-                "output": args.output,
-            }
+            config = {"tolerance_base": base_tol, "format": args.fmt, "output": args.output}
             # then every remaining argument that was given, in name order
-            listed = {"tol", "fmt", "output", "dense_cap", "command"}
+            listed = {"tol", "fmt", "output", "command"}
             config.update((k, v) for k, v in sorted(vars(args).items()) if k not in listed and v is not None)
             doc = {
                 "schema": SCHEMA,

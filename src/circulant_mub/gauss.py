@@ -41,47 +41,41 @@ from .phase_ring import _check_dimension, root_table
 _BLOCK = 1 << 16  # exponents gathered at once by a batched _direct
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
-
-
 def smallest_nontrivial_divisor(n: int) -> int:
-    """Least divisor of n that exceeds 1 (n itself when n is prime)."""
+    """Least divisor of n that exceeds 1 (n itself when n is prime), by trial
+    division over 2, 3 and the 6k +- 1 wheel."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    f = 2
+    for f in (2, 3):
+        if n % f == 0:
+            return f
+    f = 5
     while f * f <= n:
         if n % f == 0:
             return f
-        f += 1
+        if n % (f + 2) == 0:
+            return f + 2
+        f += 6
     return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and smallest_nontrivial_divisor(n) == n
 
 
 @dataclass(frozen=True)
 class GaussSumSpec:
-    """Parameters of S(a, b, d); the modulus d must be positive."""
+    """Parameters of S(a, b, d); the modulus d must lie in 1..MAX_MODULUS."""
 
     a: int
     b: int
     d: int
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "d"):
+        for name in ("a", "b"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
-        if self.d < 1:
-            raise ValueError(f"modulus d must be >= 1, got {self.d}")
+        _check_dimension(self.d, what="modulus d")
 
 
 def _direct(a, b, d: int):
@@ -89,6 +83,7 @@ def _direct(a, b, d: int):
     the broadcast of a and b, with the shape of that broadcast."""
     # each factor is reduced mod 2d before the next product (the phase_ring
     # order), so no int64 intermediate reaches 6*d**2
+    _check_dimension(d)
     m = 2 * int(d)
     j = np.arange(d, dtype=np.int64)
     squares = j * j % m
@@ -171,6 +166,7 @@ def reciprocity_deviations(a: int, bs: range, d: int) -> np.ndarray:
 def shift_sums(d: int, l: int) -> np.ndarray:
     """sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k)) = S(l, l + 2j, d) for every
     shift j = 0 .. d-1."""
+    _check_dimension(d)
     a = l % (2 * d)
     return _direct(a, (a + 2 * np.arange(d, dtype=np.int64)) % (2 * d), d)
 
@@ -206,7 +202,8 @@ def power_sum_deviations(d: int, ks: list[int], ms: list[int]) -> tuple[np.ndarr
 
     as (k, m) arrays: the length-d sums in one batch, the length-k sums in
     one batch per k."""
-    if not is_prime(d) or d % 2 == 0:
+    _check_dimension(d, 3, "odd", "power sum modulus")  # before the trial division of is_prime
+    if not is_prime(d):
         raise ValueError(f"need an odd prime dimension, got {d}")
     for k in ks:
         if not 1 <= k <= d - 1:

@@ -134,8 +134,9 @@ def build_family(d: int) -> MubFamily:
         bases = [("I", _circulant_identity(d)), ("F", build_fourier(d)), ("R", build_rotation(d))]
         recipe = Recipe.EVEN
     else:
-        count = d - 1 if is_prime(d) else smallest_nontrivial_divisor(d) - 1
-        recipe = Recipe.PRIME if is_prime(d) else Recipe.ODD_COMPOSITE
+        divisor = smallest_nontrivial_divisor(d)  # d itself when d is prime
+        count = divisor - 1
+        recipe = Recipe.PRIME if divisor == d else Recipe.ODD_COMPOSITE
         rotation = build_rotation(d)
         bases = [("I", _circulant_identity(d)), ("F", build_fourier(d))]
         current = rotation
@@ -279,7 +280,6 @@ def coprime_power_mismatches(d: int, tol: float) -> list[int]:
     odd d.  R**k is the circulant of spectrum s**k, s the spectrum of R, so
     every power is measured from one batch of spectra, never densely."""
     _check_tolerance(tol)
-    ks = np.arange(1, d)
-    spectra = diagonalize_circulant(build_rotation(d)) ** ks[:, None]
+    spectra = diagonalize_circulant(build_rotation(d)) ** np.arange(1, d)[:, None]  # the builder guards d first
     deviations = _circulant_hadamard_deviation(np.fft.ifft(spectra, axis=-1), spectra)
     return [k for k, dev in zip(range(1, d), deviations.tolist()) if (dev <= tol) != (math.gcd(k, d) == 1)]

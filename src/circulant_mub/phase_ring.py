@@ -13,7 +13,8 @@ show up for even dimensions) stay exact.
 
 Exponent arrays are int64, so each helper reduces its inputs mod 2d before
 multiplying them: every intermediate product then stays below (2d)**2 and
-cannot overflow for d up to 10**9.
+cannot overflow for d up to MAX_MODULUS = 10**9.  _check_dimension, the one
+dimension guard of the package, refuses any d above it.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ from functools import lru_cache
 
 import numpy as np
 
+MAX_MODULUS = 10**9  # the largest d whose exponent products stay within int64
+
 
 def _check_dimension(d: int, least: int = 1, parity: str | None = None, what: str = "dimension") -> None:
-    """Refuse d unless it is an integer >= least, and "even" or "odd" when
-    parity asks for one; what names the object in the message."""
-    if not isinstance(d, (int, np.integer)) or d < least or (parity and d % 2 != (parity == "odd")):
-        raise ValueError(f"{what} must be an {parity + ' ' if parity else ''}integer >= {least}, got {d!r}")
+    """Refuse d unless it is an integer in least..MAX_MODULUS, and "even" or
+    "odd" when parity asks for one; what names the object in the message."""
+    if not isinstance(d, (int, np.integer)) or not least <= d <= MAX_MODULUS or (parity and d % 2 != (parity == "odd")):
+        kind = f"{parity + ' ' if parity else ''}integer in {least}..{MAX_MODULUS}"
+        raise ValueError(f"{what} must be an {kind}, got {d!r}")
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,10 @@ import numpy as np
 from .linalg import _check_tolerance, default_tolerance
 from .phase_ring import _check_dimension, root_table, triangular_phase
 
+# the largest length and alphabet order that exhaustive_biunimodular enumerates
+MAX_SEARCH_DIMENSION = 6
+MAX_SEARCH_ALPHABET = 12
+
 
 @dataclass(frozen=True, eq=False)
 class Sequence:
@@ -109,15 +113,15 @@ def exhaustive_biunimodular(
     constructions are compared against, so it must not share code with
     them.  A unit multiple w*c has the moduli of c in time and frequency,
     so only the sequences with c[0] = 1 are tested and each hit stands for
-    its alphabet_order phase multiples.  Capped at d <= 6,
-    alphabet_order <= 12.
+    its alphabet_order phase multiples.  Capped at d <= MAX_SEARCH_DIMENSION,
+    alphabet_order <= MAX_SEARCH_ALPHABET.
     """
     _check_dimension(d)
-    if not 1 <= d <= 6:
-        raise ValueError(f"exhaustive search supports 1 <= d <= 6, got d={d}")
-    if not 1 <= alphabet_order <= 12:
+    if not 1 <= d <= MAX_SEARCH_DIMENSION:
+        raise ValueError(f"exhaustive search supports 1 <= d <= {MAX_SEARCH_DIMENSION}, got d={d}")
+    if not 1 <= alphabet_order <= MAX_SEARCH_ALPHABET:
         raise ValueError(
-            f"exhaustive search supports alphabets up to order 12, got {alphabet_order}"
+            f"exhaustive search supports alphabets up to order {MAX_SEARCH_ALPHABET}, got {alphabet_order}"
         )
     if tol is None:
         tol = default_tolerance(d)

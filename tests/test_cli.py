@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -112,6 +114,44 @@ def test_build_records_are_sorted_by_check_and_case(capsys):
     assert keys[0] == ("family-size", "")
     assert len(keys) == 1 + 8 * 7 // 2
     assert doc["records"][0]["detail"] == "recipe=Prime bases=8 expected=8"
+
+
+def sort_key(record: dict):
+    """The record order of the reports before the one-tuple sort of _run, kept
+    as its oracle: each case item as (key, 0, float(value), "") for a number
+    and (key, 1, 0.0, str(value)) otherwise."""
+    parts = []
+    for key, value in record["case"].items():
+        if isinstance(value, (int, float)):
+            parts.append((key, 0, float(value), ""))
+        else:
+            parts.append((key, 1, 0.0, str(value)))
+    return (record["check"], tuple(parts))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--dims", "61..97"],
+        ["sweep", "--dims", "2..40"],
+        ["gauss", "identity", "--d", "3..15", "--l", "1400000000000000001", "--allow-noncoprime"],
+        ["gauss", "reciprocity", "--a", "1..5", "--d", "1..12"],
+        ["seq", "gauss", "--d", "3..15"],
+        ["search", "--d", "4", "--alphabet", "6"],
+        ["build", "--dim", "13"],
+        ["gauss", "trace", "--d", "3..31"],
+        ["gauss", "powersums", "--d", "3..31"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_run_orders_records_as_the_per_item_sort_key(argv):
+    # within one check every case has the same keys and value types, so the
+    # case values compare as they are; a shuffle before the oracle's stable
+    # sort also fails the test where the oracle would leave a tie
+    checks, _ = cli._plan(cli._build_parser().parse_args(argv), cli.DEFAULT_TOL_BASE)
+    records = cli._run(checks)
+    assert len(records) > 1
+    assert sorted(random.Random(0).sample(records, len(records)), key=sort_key) == records
 
 
 def test_build_rejects_dimension_one(capsys):
@@ -597,21 +637,19 @@ def test_entry_texts_formats_each_distinct_bit_pattern_once(entries):
 
 
 def test_tolerance_flag_and_environment(capsys, monkeypatch):
-    monkeypatch.delenv("MUB_DEFAULT_TOL", raising=False)
     assert main(["verify", "--dims", "5", "--tol", "1e-30"]) == EXIT_FAILURES
     capsys.readouterr()
-    monkeypatch.setenv("MUB_DEFAULT_TOL", "not-a-number")
-    assert main(["verify", "--dims", "5"]) == EXIT_USAGE
-    capsys.readouterr()
-    monkeypatch.setenv("MUB_DEFAULT_TOL", "1e-2")
-    code, doc = run_json(capsys, ["verify", "--dims", "5"])
-    assert code == EXIT_OK
-    assert doc["config"]["tolerance_base"] == pytest.approx(1e-2)
-    # an explicit flag beats the environment
+    # --tol is the one source of the tolerance base: the environment variable
+    # that once set it is ignored, even when it is malformed
+    for env in ("not-a-number", "1e-2", "-1.0"):
+        monkeypatch.setenv("MUB_DEFAULT_TOL", env)
+        code, doc = run_json(capsys, ["verify", "--dims", "5"])
+        assert code == EXIT_OK
+        assert doc["config"]["tolerance_base"] == cli.DEFAULT_TOL_BASE
     code, doc = run_json(capsys, ["verify", "--dims", "5", "--tol", "1e-8"])
     assert doc["config"]["tolerance_base"] == pytest.approx(1e-8)
-    monkeypatch.setenv("MUB_DEFAULT_TOL", "-1.0")
-    assert main(["verify", "--dims", "5"]) == EXIT_USAGE
+    assert main(["verify", "--dims", "5", "--tol", "-1.0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: tolerance must be a positive finite number, got -1.0\n"
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
@@ -732,7 +770,7 @@ def test_every_span_flag_is_bounded_in_length():
             assert cli._plan(parser.parse_args(base), 1e-9)[0], base
             for flag in flags:
                 with pytest.raises(cli.UsageError, match=f"^{flag} may span at most"):
-                    cli._plan(parser.parse_args(base + [flag, long_span, "--dense-cap", str(10**7)]), 1e-9)
+                    cli._plan(parser.parse_args(base + [flag, long_span]), 1e-9)
                 flags_seen.add(flag)
     assert flags_seen == {"--dims", "--d", "--a", "--b", "--k", "--l", "--m"}
 
@@ -754,38 +792,47 @@ def test_unwritable_output_is_a_usage_error_found_before_any_check(tmp_path, cap
     assert capsys.readouterr().err.startswith("error: cannot write --output")
 
 
-def test_dense_cap_flag(capsys, monkeypatch, tmp_path):
-    assert main(["build", "--dim", "20", "--dense-cap", "10"]) == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
-    # the message names the flag a CLI user can pass, not only the API call
-    assert main(["verify", "--dims", "7", "--dense-cap", "5"]) == EXIT_USAGE
-    assert "--dense-cap" in capsys.readouterr().err
-    assert main(["gauss", "even", "--d", "2", "--dense-cap", "0"]) == EXIT_USAGE
-    assert "--dense-cap" in capsys.readouterr().err
-
-    # the span is refused before any check is built or run, and before the
+def test_dense_dimensions_are_capped_before_any_check(capsys, monkeypatch, tmp_path):
+    # build, verify and sweep materialize d x d matrices, so a dimension above
+    # MAX_DENSE is refused before any check is built or run, and before the
     # report file is opened
     def never(d):
         raise RuntimeError("a check ran despite the cap")
 
     monkeypatch.setattr(cli, "build_family", never)
     target = tmp_path / "capped.json"
-    for command in ("verify", "sweep"):
-        argv = [command, "--dims", "2..9", "--dense-cap", "8", "--output", str(target)]
-        assert main(argv) == EXIT_USAGE
+    refused = {
+        ("verify", "--dims", "2..513"): "--dims must be at most 512, got 2..513",
+        ("sweep", "--dims", "2..513"): "--dims must be at most 512, got 2..513",
+        ("build", "--dim", "513"): "--dim must lie in 2..512, got 513",
+    }
+    for argv, message in refused.items():
+        target.write_text("an earlier report\n")
+        assert main([*argv, "--output", str(target)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: dimension 9 exceeds the dense materialization cap 8; "
-            "raise it with --dense-cap if this is intentional\n"
-        )
-        assert not target.exists()
+        assert captured.err == f"error: {message}\n"
+        assert target.read_text() == "an earlier report\n"
+    # the cap is a constant, not an option
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--dims", "3", "--dense-cap", "8"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --dense-cap 8" in capsys.readouterr().err
 
 
-def test_dense_cap_is_restored_after_each_run(capsys):
-    assert main(["verify", "--dims", "3", "--dense-cap", "8"]) == EXIT_OK
-    assert build_family(11).dimension == 11
-    assert main(["build", "--dim", "20", "--dense-cap", "10"]) == EXIT_USAGE
+def test_readme_names_every_option_and_no_removed_one():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    parser = cli._build_parser()
+    options = {
+        option
+        for p in (parser, *parser._subparsers._group_actions[0].choices.values())
+        for action in p._actions
+        for option in action.option_strings
+    }
+    assert {"--tol", "--version", "--allow-noncoprime"} <= options
+    assert [o for o in sorted(options) if not re.search(re.escape(o) + r"(?![\w-])", readme)] == []
+    for removed in ("--dense-cap", "--parallelism", "MUB_DEFAULT_TOL"):
+        assert removed not in readme
 
 
 def test_missing_required_arguments_exit_two(capsys):

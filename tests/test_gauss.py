@@ -34,6 +34,13 @@ def test_primality_helpers():
     assert smallest_nontrivial_divisor(13) == 13
     with pytest.raises(ValueError):
         smallest_nontrivial_divisor(1)
+    # the 6k +- 1 wheel against division by every f from 2 up
+    for n in list(range(2, 3000)) + [997 * 997, 997 * 1009, 99991 * 99989]:
+        expected = next(f for f in range(2, n + 1) if n % f == 0)
+        assert smallest_nontrivial_divisor(n) == expected, n
+        assert is_prime(n) == (expected == n), n
+    assert not any(is_prime(n) for n in range(-5, 2))
+    assert is_prime(2**31 - 1) and smallest_nontrivial_divisor(2**31 - 1) == 2**31 - 1
 
 
 def test_spec_validation():

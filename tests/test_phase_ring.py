@@ -5,12 +5,15 @@ import pytest
 
 from circulant_mub import gauss, linalg, mub, sequences
 from circulant_mub import (
+    GaussSumSpec,
+    gauss_sum_direct,
     phase_of_omega,
     root_table,
     square_phase,
     to_complex,
     triangular_phase,
 )
+from circulant_mub.phase_ring import MAX_MODULUS
 
 
 def test_phase_of_omega_examples():
@@ -115,13 +118,37 @@ DIMENSION_GUARDS = [
 
 @pytest.mark.parametrize("call, least, parity", DIMENSION_GUARDS)
 def test_dimension_guards(call, least, parity):
-    # below the least (keeping the parity), the wrong parity, and not an integer
-    for bad in (least - (2 if parity else 1), least + 1 if parity else None, float(least)):
+    # below the least (keeping the parity), the wrong parity, not an integer,
+    # and the least d of the parity above MAX_MODULUS, refused before anything
+    # of that size is allocated
+    above = MAX_MODULUS + (2 if parity == "even" else 1)
+    for bad in (least - (2 if parity else 1), least + 1 if parity else None, float(least), above):
         if bad is not None:
             with pytest.raises(ValueError):
                 call(bad)
     call(least)
     call(np.int64(least))
+
+
+def test_phase_arithmetic_refuses_moduli_above_the_int64_bound():
+    # above MAX_MODULUS the exponent products can wrap in int64, so the phase
+    # helpers refuse d even on a one-entry array, where nothing is allocated
+    odd, even = MAX_MODULUS + 1, MAX_MODULUS + 2
+    for call in (
+        lambda: triangular_phase(np.array([odd - 1], dtype=np.int64), 3, odd),
+        lambda: square_phase(np.array([even - 1], dtype=np.int64), even),
+        lambda: root_table(odd),
+        lambda: gauss_sum_direct(GaussSumSpec(1, 0, odd)),
+        lambda: gauss._direct(1, 0, odd),
+        lambda: gauss.shift_sums(odd, 1),
+        # refused before a trial division that would take about a minute
+        lambda: gauss.power_sum_deviations(2**61 - 1, [1], [0]),
+    ):
+        with pytest.raises(ValueError):
+            call()
+    assert triangular_phase(np.array([MAX_MODULUS - 1], dtype=np.int64), 3, MAX_MODULUS)[0] == (
+        (MAX_MODULUS - 1) * MAX_MODULUS * 3 % (2 * MAX_MODULUS)
+    )
 
 
 def test_shared_table_instance_per_dimension():
