@@ -11,8 +11,9 @@ Subcommands
 The CLI owns parsing, planning, running and rendering; the paper's claims are
 measured by mub, gauss and sequences, whose functions return deviations or the
 cases that disagree.  _plan turns the arguments into checks, one per case:
-plain functions of the case and the tolerance base that build records and
-their detail strings from those results.  A record is a plain dict
+plain functions of the case and the tolerance base that build records from
+those results.  A verify check scales the base once, builds the family and
+asks its recipe which claim the dimension class adds.  A record is a plain dict
 (check, case, passed, deviation, tolerance, detail, elapsed_s); _bounded
 holds the one pass rule, deviation <= tolerance, and passed is None on an
 informational record.  _run times each check in turn and sorts the records
@@ -224,15 +225,9 @@ def _build_parser() -> argparse.ArgumentParser:
 # checks: each takes one case and the tolerance base and returns its records
 
 
-def _structural_records(d: int, base_tol: float) -> list[dict]:
-    tol = default_tolerance(d, base_tol)
-    return [_bounded(check, case, deviation, tol) for check, case, deviation in structural_identities(d)]
-
-
-def _family_records(d: int, base_tol: float, payload: dict) -> list[dict]:
-    """Build the family of dimension d, put it into payload and verify it."""
+def _family_records(d: int, tol: float, payload: dict) -> list[dict]:
+    """Build the family of dimension d, put it into payload and verify it at the scaled tol."""
     family = payload["family"] = build_family(d)
-    tol = default_tolerance(d, base_tol)
     if family.recipe in (Recipe.D_TWO, Recipe.EVEN):
         expected = 3
     elif family.recipe is Recipe.PRIME:
@@ -243,44 +238,30 @@ def _family_records(d: int, base_tol: float, payload: dict) -> list[dict]:
     records = [_record("family-size", {"d": d}, len(family.bases) == expected, detail=detail)]
     for pair in verify_family(family, tol).pairs:
         case = {"d": d, "pair": f"{pair.label_a}|{pair.label_b}"}
-        records.append(_record("pair-unbiased", case, pair.passed, pair.deviation, tol))
+        records.append(_bounded("pair-unbiased", case, pair.deviation, tol))
     return records
 
 
-def _coprimality_records(d: int, base_tol: float) -> list[dict]:
-    tol = default_tolerance(d, base_tol)
-    wrong = coprime_power_mismatches(d, tol)
-    detail = f"k=1..{d - 1}" + (f" mismatches at {wrong}" if wrong else "")
-    return [_record("rotation-power-hadamard-iff-coprime", {"d": d}, not wrong, tolerance=tol, detail=detail)]
-
-
-def _negative_records(d: int, base_tol: float) -> list[dict]:
-    tol = default_tolerance(d, base_tol)
-    check = negative_check_even(d, tol)
-    detail = (
-        f"unitary_dev={check.unitary.deviation:.3e} circulant_dev={check.circulant_dev:.3e} "
-        f"entry moduli in [{check.modulus_min:.6f}, {check.modulus_max:.6f}] "
-        f"vs required {1 / math.sqrt(d):.6f}"
-    )
-    return [
-        _record(
-            "rotation-square-not-hadamard",
-            {"d": d},
-            check.passed,
-            check.hadamard.deviation,
-            tol,
-            detail,
-        )
-    ]
-
-
 def _verify_check(d: int, base_tol: float) -> list[dict]:
-    records = _family_records(d, base_tol, {})
-    records.extend(_structural_records(d, base_tol))
-    if d % 2 and d >= 3 and not is_prime(d):
-        records.extend(_coprimality_records(d, base_tol))
-    if d % 2 == 0 and d >= 4:
-        records.extend(_negative_records(d, base_tol))
+    """The family's records, the structural identities and the one claim the family's recipe adds."""
+    tol = default_tolerance(d, base_tol)
+    payload = {}
+    records = _family_records(d, tol, payload)
+    records.extend(_bounded(check, case, deviation, tol) for check, case, deviation in structural_identities(d))
+    if payload["family"].recipe is Recipe.ODD_COMPOSITE:
+        wrong = coprime_power_mismatches(d, tol)
+        detail = f"k=1..{d - 1}" + (f" mismatches at {wrong}" if wrong else "")
+        records.append(_record("rotation-power-hadamard-iff-coprime", {"d": d}, not wrong, None, tol, detail))
+    elif payload["family"].recipe is Recipe.EVEN:
+        square = negative_check_even(d, tol)
+        detail = (
+            f"unitary_dev={square.unitary.deviation:.3e} circulant_dev={square.circulant_dev:.3e} "
+            f"entry moduli in [{square.modulus_min:.6f}, {square.modulus_max:.6f}] "
+            f"vs required {1 / math.sqrt(d):.6f}"
+        )
+        records.append(
+            _record("rotation-square-not-hadamard", {"d": d}, square.passed, square.hadamard.deviation, tol, detail)
+        )
     return records
 
 
@@ -426,7 +407,7 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
     checks = []
     if args.command == "build":
         _check_bounds("--dim", args.dim, 2, MAX_DENSE)
-        checks = [partial(_family_records, args.dim, base_tol, payload)]
+        checks = [partial(_family_records, args.dim, default_tolerance(args.dim, base_tol), payload)]
     elif args.command == "search":
         _check_bounds("search --d", args.dim, 1, MAX_SEARCH_DIMENSION)
         _check_bounds("search --alphabet", args.alphabet, 1, MAX_SEARCH_ALPHABET)

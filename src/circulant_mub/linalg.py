@@ -49,9 +49,6 @@ class CheckResult:
     passed: bool
     deviation: float
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 @dataclass(frozen=True, eq=False)
 class DenseUnitary:
@@ -282,12 +279,10 @@ def is_unitary_hadamard(m, tol: float | None = None) -> CheckResult:
     """Unitary with all entry moduli equal to d**-0.5; the deviation is the
     worse of the unitarity defect and the entry-modulus defect."""
     mm = as_matrix(m)
-    if mm.ndim != 2 or mm.shape[0] != mm.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mm.shape}")
+    unitary = is_unitary(mm, tol)  # refuses a non-square matrix and a bad tol
     d = mm.shape[0]
     if tol is None:
         tol = default_tolerance(d)
-    unitary = is_unitary(mm, tol)
     modulus_dev = float(np.abs(np.abs(mm) - 1.0 / math.sqrt(d)).max())
     deviation = max(unitary.deviation, modulus_dev)
     return CheckResult(deviation <= tol, deviation)

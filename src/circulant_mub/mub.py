@@ -88,8 +88,6 @@ class PairCheck:
 
 @dataclass(frozen=True)
 class UnbiasednessReport:
-    dimension: int
-    tolerance: float
     pairs: tuple[PairCheck, ...]
     passed: bool
 
@@ -180,12 +178,7 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
                 deviations[j] = is_unitary_hadamard(multiply(a_adj, members[j]), tol).deviation
         for j in later:
             pairs.append(PairCheck(label_a, family.bases[j][0], deviations[j], deviations[j] <= tol))
-    return UnbiasednessReport(
-        dimension=d,
-        tolerance=tol,
-        pairs=tuple(pairs),
-        passed=all(p.passed for p in pairs),
-    )
+    return UnbiasednessReport(pairs=tuple(pairs), passed=all(p.passed for p in pairs))
 
 
 @dataclass(frozen=True)
@@ -194,7 +187,6 @@ class EvenSquareCheck:
     unitary and circulant yet is not a Hadamard matrix, which is exactly
     why the even family stops at three bases."""
 
-    dimension: int
     tolerance: float
     unitary: CheckResult
     circulant_dev: float
@@ -221,7 +213,6 @@ def negative_check_even(d: int, tol: float | None = None) -> EvenSquareCheck:
     square = dense @ dense
     moduli = np.abs(square)
     return EvenSquareCheck(
-        dimension=d,
         tolerance=tol,
         unitary=is_unitary(square, tol),
         circulant_dev=circulant_deviation(square),

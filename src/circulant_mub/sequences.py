@@ -51,9 +51,6 @@ class BiunimodularityReport:
     def deviation(self) -> float:
         return max(self.time_deviation, self.freq_deviation)
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def dft_sequence(c) -> Sequence:
     """Normalized DFT with positive exponent:

@@ -1,6 +1,6 @@
 import ast
 import csv
-import importlib
+import importlib.util
 import io
 import json
 import math
@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -181,6 +182,46 @@ def test_verify_span(capsys):
     negatives = [r for r in doc["records"] if r["check"] == "rotation-square-not-hadamard"]
     assert sorted(r["case"]["d"] for r in negatives) == [4, 6, 8]
     assert all(r["passed"] for r in negatives)
+
+
+BASE_IDENTITIES = {
+    "clock-shift-commutation",
+    "fourier-diagonalizes-shift",
+    "fourier-square-is-reversal",
+    "fourier-order-four",
+}
+PRIME_IDENTITIES = {
+    "rotation-diagonalization",
+    "rotation-clock-conjugation",
+    "rotation-order",
+    "rotation-power-clock",
+    "phased-fourier-identity",
+}
+
+
+def test_verify_claims_follow_the_dimension_class(capsys):
+    # every d gets the family and the base identities; odd primes add the
+    # prime identities, odd composites the coprimality rule and even d >= 4 the
+    # failing rotation square.  The least divisor comes from plain trial
+    # division here, shared with nothing in the package.
+    for d in range(2, 41):
+        least = next(f for f in range(2, d + 1) if d % f == 0)
+        code, doc = run_json(capsys, ["verify", "--dims", str(d)])
+        assert code == EXIT_OK, d
+        assert {r["case"]["d"] for r in doc["records"]} == {d}
+        expected = {"family-size", "pair-unbiased"} | BASE_IDENTITIES
+        if d % 2 and least == d:
+            expected |= PRIME_IDENTITIES
+        elif d % 2:
+            expected.add("rotation-power-hadamard-iff-coprime")
+        elif d >= 4:
+            expected.add("rotation-square-not-hadamard")
+        assert {r["check"] for r in doc["records"]} == expected, d
+        size = 3 if d % 2 == 0 else d + 1 if least == d else least + 1
+        (record,) = [r for r in doc["records"] if r["check"] == "family-size"]
+        assert re.search(r"\bbases=(\d+) expected=(\d+)$", record["detail"]).groups() == (str(size), str(size)), d
+        pairs = [r for r in doc["records"] if r["check"] == "pair-unbiased"]
+        assert len(pairs) == size * (size - 1) // 2, d
 
 
 @pytest.mark.parametrize(
@@ -885,3 +926,30 @@ def test_cli_imports_only_public_library_names_and_traced_layers_resolve(monkeyp
         for attribute in path:
             target = getattr(target, attribute, None)
         assert callable(target), name
+
+
+def test_report_snapshot_writes_code_stderr_and_stdout_per_format(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "report_snapshot", Path(__file__).resolve().parents[1] / "tools" / "report_snapshot.py"
+    )
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    commands = [["verify", "--dims", "2..3"], ["verify", "--dims", "0..3"]]
+    clock = time.perf_counter
+    written = snapshot.snapshot(tmp_path / "a", commands)
+    assert time.perf_counter is clock
+    assert len(written) == 2 * 3 * 3
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(p.name for p in written)
+    read = lambda name: (tmp_path / "a" / name).read_bytes().decode("utf-8")
+    for fmt in ("json", "text", "csv"):
+        assert read(f"verify_dims_2..3.{fmt}.code") == "0\n"
+        assert read(f"verify_dims_2..3.{fmt}.err") == ""
+        assert read(f"verify_dims_0..3.{fmt}.code") == f"{EXIT_USAGE}\n"
+        assert read(f"verify_dims_0..3.{fmt}.err") == "error: --dims must be >= 2, got 0..3\n"
+        assert read(f"verify_dims_0..3.{fmt}.out") == ""
+    doc = json.loads(read("verify_dims_2..3.json.out"))
+    assert doc["elapsed_s"] == 0.0 and {r["elapsed_s"] for r in doc["records"]} == {0.0}
+    assert read("verify_dims_2..3.csv.out").startswith("check,case,passed,deviation,tolerance,elapsed_s,detail\r\n")
+    # with the clock frozen a second snapshot has the same bytes
+    snapshot.snapshot(tmp_path / "b", commands)
+    assert all((tmp_path / "b" / p.name).read_bytes() == p.read_bytes() for p in written)

@@ -186,3 +186,39 @@ def test_rotation_power_sums_validation():
         power_sum_deviations(7, [0], [0])
     with pytest.raises(ValueError):
         power_sum_deviations(7, [2], [7])
+
+
+def exact_certificates(d, ks):
+    """certified[i, m]: the integer autocorrelation c of the histogram h of
+    t_j = k*j*(j+1)/2 + m*j mod d, k = ks[i], satisfies c_s = c_0 - d for every
+    s != 0.  |S(k, k + 2m, d)|**2 = sum_s c_s zeta_d**s, so since
+    sum_s zeta_d**s = 0 the certificate proves |S|**2 = d exactly; for prime d
+    that is the only rational relation, so it is also necessary.  Integers only."""
+    k = np.asarray(ks, dtype=np.int64)[:, None, None]
+    m = np.arange(d, dtype=np.int64)[None, :, None]
+    j = np.arange(d, dtype=np.int64)
+    t = (k * (j * (j + 1) // 2) + m * j) % d
+    h = np.zeros(t.shape, dtype=np.int64)
+    k_index, m_index, _ = np.indices(t.shape)
+    np.add.at(h, (k_index, m_index, t), 1)
+    c = np.stack([np.einsum("kma,kma->km", np.roll(h, -s, axis=-1), h) for s in range(d)], axis=-1)
+    assert (c.sum(axis=-1) == d * d).all() and (c[..., 0] == (h * h).sum(axis=-1)).all()
+    return (c[..., 1:] == c[..., :1] - d).all(axis=-1)
+
+
+def test_rotation_power_sums_have_exact_certificates_at_every_prime():
+    primes = [p for p in range(3, 62) if is_prime(p)]
+    assert len(primes) == 17
+    for p in primes:
+        ks, ms = list(range(1, p)), list(range(p))
+        assert exact_certificates(p, ks).all(), p
+        # the float path agrees on the same (k, m)
+        dev_d, dev_k = power_sum_deviations(p, ks, ms)
+        assert dev_d.shape == dev_k.shape == (p - 1, p)
+        assert dev_d.max() <= 1e-9 and dev_k.max() <= 1e-9, p
+
+
+@pytest.mark.parametrize("d", [9, 15, 21, 25, 27])
+def test_exact_certificate_refuses_every_noncoprime_power(d):
+    ks = [k for k in range(1, d) if math.gcd(k, d) > 1]
+    assert not exact_certificates(d, ks).any()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -344,6 +345,11 @@ def test_is_unitary_hadamard_verdicts():
     identity_check = is_unitary_hadamard(np.eye(5))
     assert not identity_check.passed
     assert identity_check.deviation == pytest.approx(1 - 1 / math.sqrt(5))
+    # is_unitary_hadamard leaves the shape check to is_unitary
+    for check in (is_unitary, is_unitary_hadamard):
+        for shape in ((2, 3), (3,), (2, 2, 2)):
+            with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+                check(np.ones(shape))
 
 
 def test_default_tolerance_scales_with_sqrt_d():

@@ -154,7 +154,6 @@ def test_gauss_sequence_biunimodular_iff_coprime(d):
 def test_biunimodular_report_fields():
     report = is_biunimodular(gauss_sequence(9, 3))
     assert not report.passed
-    assert not report
     assert report.time_deviation < 1e-12  # the sequence itself is unimodular
     assert report.freq_deviation > 0.1
     assert report.deviation == report.freq_deviation

@@ -1,0 +1,94 @@
+"""Write the CLI's reports for a fixed command list, so two trees can be diffed.
+
+    python tools/report_snapshot.py OUT_DIR
+
+Each command runs in process, through cli.main of the package in this tree's
+src/, once per format (json, text and csv), with time.perf_counter frozen so
+the elapsed_s fields read 0.  Each run writes three files into OUT_DIR, named
+after the command and the format: NAME.code (the exit code), NAME.err (stderr)
+and NAME.out (stdout).  Copy this script into another tree's tools/ and run it
+there to snapshot that tree; `diff -r A B` of two snapshots is then empty
+exactly when every report, message and exit code is byte-identical.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+COMMANDS = [
+    ["verify", "--dims", "61..97"],
+    ["verify", "--dims", "2..40"],
+    ["sweep", "--dims", "2..20"],
+    ["build", "--dim", "2"],
+    ["build", "--dim", "6"],
+    ["build", "--dim", "13"],
+    ["build", "--dim", "61"],
+    ["verify", "--dims", "5", "--tol", "1e-30"],
+    ["verify", "--dims", "9..15", "--tol", "1e-3"],
+    ["gauss", "identity", "--d", "3..41"],
+    ["gauss", "identity", "--d", "7..9", "--l", "1..4", "--allow-noncoprime"],
+    ["gauss", "reciprocity", "--a", "1..20", "--d", "1..50"],
+    ["gauss", "even", "--d", "2..40"],
+    ["gauss", "trace", "--d", "3..31"],
+    ["gauss", "powersums", "--d", "3..31"],
+    ["seq", "gauss", "--d", "3..41"],
+    ["search", "--d", "6", "--alphabet", "12"],
+    ["search", "--d", "4", "--alphabet", "8"],
+]
+FORMATS = ("json", "text", "csv")
+
+
+def run_one(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of cli.main(argv) with the clock frozen."""
+    from circulant_mub import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    clock = time.perf_counter
+    time.perf_counter = lambda: 0.0
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse exits on a bad or missing flag
+                code = exc.code
+    finally:
+        time.perf_counter = clock
+    return code, out.getvalue(), err.getvalue()
+
+
+def snapshot(out_dir: Path, commands: list[list[str]] = COMMANDS) -> list[Path]:
+    """Run every command in every format and write its three files; return the
+    paths written."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for argv in commands:
+        for fmt in FORMATS:
+            name = re.sub(r"[^\w.-]+", "_", "_".join(arg.lstrip("-") for arg in argv)) + f".{fmt}"
+            code, stdout, stderr = run_one([*argv, "--format", fmt])
+            for suffix, text in (("code", f"{code}\n"), ("err", stderr), ("out", stdout)):
+                path = out_dir / f"{name}.{suffix}"
+                path.write_text(text, encoding="utf-8", newline="")
+                written.append(path)
+    return written
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    written = snapshot(Path(argv[0]))
+    print(f"wrote {len(written)} files to {argv[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
