@@ -11,8 +11,8 @@ Subcommands
 The CLI owns parsing, planning, running and rendering; the paper's claims are
 measured by mub, gauss and sequences, whose functions return deviations or the
 cases that disagree.  _plan turns the arguments into checks, one per case:
-plain functions of the case and the tolerance base that build records from
-those results.  A verify check scales the base once, builds the family and
+plain functions of the case and its final tolerance, which _plan computes,
+that build records from those results.  A verify check builds the family and
 asks its recipe which claim the dimension class adds.  A record is a plain dict
 (check, case, passed, deviation, tolerance, detail, elapsed_s); _bounded
 holds the one pass rule, deviation <= tolerance, and passed is None on an
@@ -30,15 +30,16 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 (a bad argument or an --output path that cannot be opened), 3 internal error
 (an unexpected exception, reported with its traceback on stderr).
 
-The --tol flag sets the tolerance base; matrix identity checks scale it by
-sqrt(d), scalar Gauss sum checks use it as an absolute bound.  A family is
-built unchecked and measured once, by its pair-unbiased records: the pair of
-the identity with a member measures that member's own unitarity.  Every span
-goes through parse_span and every other bound through _check_bounds, so _plan
-refuses a build, verify or sweep dimension above MAX_DENSE, a gauss or seq
-length above phase_ring's MAX_MODULUS, any span of more than MAX_SPAN values,
-a reciprocity plan of more (a, d) pairs, and powersums and search arguments
-outside what their checks accept, as a usage error before any check is built.
+The --tol flag sets the tolerance base; _plan scales it by sqrt(d) for the
+matrix and sequence checks and hands scalar Gauss sum checks the base itself.
+A family is built unchecked and measured once, by its pair-unbiased records:
+the pair of the identity with a member measures that member's own unitarity.
+Every span goes through parse_span and every other bound through
+_check_bounds, so _plan refuses a build, verify or sweep dimension above
+MAX_DENSE, a gauss or seq length above phase_ring's MAX_MODULUS, any span of
+more than MAX_SPAN values, a reciprocity plan of more (a, d) pairs, powersums
+and search arguments outside what their checks accept, and a base that
+overflows once scaled, as a usage error before any check is built.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .gauss import (
     triangular_trace_deviations,
     verify_even_gauss,
 )
-from .linalg import as_matrix, default_tolerance
+from .linalg import DEFAULT_TOL_BASE, as_matrix, default_tolerance
 from .mub import (
     MubFamily,
     Recipe,
@@ -94,7 +95,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SCHEMA = "mub-report/1"
-DEFAULT_TOL_BASE = 1e-9
 MAX_DENSE = 512  # the largest build, verify or sweep dimension: their checks materialize d x d matrices
 MAX_SPAN = 10**6  # the most values a span may list, and the most (a, d) pairs reciprocity plans
 
@@ -167,10 +167,12 @@ def parse_span(text: str, flag: str = "span", lo: int | None = None, hi: int | N
     return span
 
 
-def _check_tol(base: float) -> float:
-    if not base > 0 or not math.isfinite(base):
-        raise UsageError(f"tolerance must be a positive finite number, got {base}")
-    return base
+def _scaled(d: int, base: float) -> float:
+    """default_tolerance(d, base), whose refusal of the base is a usage error."""
+    try:
+        return default_tolerance(d, base)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# checks: each takes one case and the tolerance base and returns its records
+# checks: each takes one case and its final tolerance and returns its records
 
 
 def _family_records(d: int, tol: float, payload: dict) -> list[dict]:
@@ -242,9 +244,8 @@ def _family_records(d: int, tol: float, payload: dict) -> list[dict]:
     return records
 
 
-def _verify_check(d: int, base_tol: float) -> list[dict]:
+def _verify_check(d: int, tol: float) -> list[dict]:
     """The family's records, the structural identities and the one claim the family's recipe adds."""
-    tol = default_tolerance(d, base_tol)
     payload = {}
     records = _family_records(d, tol, payload)
     records.extend(_bounded(check, case, deviation, tol) for check, case, deviation in structural_identities(d))
@@ -343,8 +344,7 @@ def _powersums_check(
     return [_bounded("rotation-power-sums", {"d": d}, worst, base_tol, detail)]
 
 
-def _seq_check(d: int, k_span: range | None, base_tol: float) -> list[dict]:
-    tol = default_tolerance(d, base_tol)
+def _seq_check(d: int, k_span: range | None, tol: float) -> list[dict]:
     records = []
     for k in k_span if k_span is not None else range(1, d):
         report = is_biunimodular(gauss_sequence(d, k), tol)
@@ -370,8 +370,7 @@ def _seq_check(d: int, k_span: range | None, base_tol: float) -> list[dict]:
     return records
 
 
-def _search_records(d: int, alphabet: int, base_tol: float) -> list[dict]:
-    tol = default_tolerance(d, base_tol)
+def _search_records(d: int, alphabet: int, tol: float) -> list[dict]:
     hits = exhaustive_biunimodular(d, alphabet, tol)
     orbits = group_orbits(hits)
     records = []
@@ -401,25 +400,25 @@ def _odd_dims(dims: range, what: str) -> list[int]:
 
 
 def _plan(args, base_tol: float) -> tuple[list, dict]:
-    """Validate the arguments and turn them into zero-argument checks, plus
-    the document body a build check fills in (empty for other commands)."""
+    """Validate the arguments and turn them into zero-argument checks, each
+    with its final tolerance, plus the body a build check fills in (or {})."""
     payload = {}
     checks = []
     if args.command == "build":
         _check_bounds("--dim", args.dim, 2, MAX_DENSE)
-        checks = [partial(_family_records, args.dim, default_tolerance(args.dim, base_tol), payload)]
+        checks = [partial(_family_records, args.dim, _scaled(args.dim, base_tol), payload)]
     elif args.command == "search":
         _check_bounds("search --d", args.dim, 1, MAX_SEARCH_DIMENSION)
         _check_bounds("search --alphabet", args.alphabet, 1, MAX_SEARCH_ALPHABET)
-        checks = [partial(_search_records, args.dim, args.alphabet, base_tol)]
+        checks = [partial(_search_records, args.dim, args.alphabet, _scaled(args.dim, base_tol))]
     elif args.command == "seq":
         dims = parse_span(args.d_span, "--d", hi=MAX_MODULUS)
         k_span = parse_span(args.k_span, "--k") if args.k_span else None
-        checks = [partial(_seq_check, d, k_span, base_tol) for d in _odd_dims(dims, "seq gauss")]
+        checks = [partial(_seq_check, d, k_span, _scaled(d, base_tol)) for d in _odd_dims(dims, "seq gauss")]
     elif args.command in ("verify", "sweep"):
         dims = parse_span(args.dims, "--dims", lo=2)
         _check_bounds("--dims", dims, hi=MAX_DENSE)  # after the span-length rule of parse_span
-        checks = [partial(_verify_check, d, base_tol) for d in dims]
+        checks = [partial(_verify_check, d, _scaled(d, base_tol)) for d in dims]
         if args.command == "sweep":
             for d in dims:
                 if d % 2:
@@ -712,7 +711,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        base_tol = _check_tol(args.tol)
+        base_tol = _scaled(1, args.tol)  # the base itself, refused unless positive and finite
         checks, payload = _plan(args, base_tol)
         with _destination(args.output) as handle:
             records = _run(checks)

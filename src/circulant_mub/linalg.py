@@ -27,19 +27,30 @@ import numpy as np
 
 from .phase_ring import _check_dimension, root_table, square_phase, triangular_phase
 
+DEFAULT_TOL_BASE = 1e-9  # the tolerance base of every check, and the CLI's --tol default
 
-def _check_tolerance(tol: float) -> None:
+
+def _check_tolerance(tol: float) -> float:
     # a NaN compares false with every deviation, so it would fail every
     # check, and an infinite one would pass every check
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be a positive finite number, got {tol}")
+    return tol
 
 
-def default_tolerance(d: int, base: float = 1e-9) -> float:
+def default_tolerance(d: int, base: float = DEFAULT_TOL_BASE) -> float:
     """Deviation budget base * sqrt(d): matrix checks accumulate error
-    over d-term sums, so the budget grows with the dimension."""
-    _check_tolerance(base)
-    return base * math.sqrt(d)
+    over d-term sums, so the budget grows with the dimension.  A budget that
+    is not positive and finite (d = 0, or a base that overflows) is refused."""
+    tol = _check_tolerance(base) * math.sqrt(d)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance base {base} times sqrt({d}) is {tol}, not a positive finite number")
+    return tol
+
+
+def _tolerance(d: int, tol: float | None) -> float:
+    """A check's tolerance: tol, refused unless positive and finite, or default_tolerance(d)."""
+    return default_tolerance(d) if tol is None else _check_tolerance(tol)
 
 
 @dataclass(frozen=True)
@@ -267,9 +278,7 @@ def is_unitary(m, tol: float | None = None) -> CheckResult:
     if mm.ndim != 2 or mm.shape[0] != mm.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mm.shape}")
     d = mm.shape[0]
-    if tol is None:
-        tol = default_tolerance(d)
-    _check_tolerance(tol)
+    tol = _tolerance(d, tol)
     gram = mm.conj().T @ mm
     deviation = float(np.abs(gram - np.eye(d)).max())
     return CheckResult(deviation <= tol, deviation)
@@ -281,8 +290,7 @@ def is_unitary_hadamard(m, tol: float | None = None) -> CheckResult:
     mm = as_matrix(m)
     unitary = is_unitary(mm, tol)  # refuses a non-square matrix and a bad tol
     d = mm.shape[0]
-    if tol is None:
-        tol = default_tolerance(d)
+    tol = _tolerance(d, tol)
     modulus_dev = float(np.abs(np.abs(mm) - 1.0 / math.sqrt(d)).max())
     deviation = max(unitary.deviation, modulus_dev)
     return CheckResult(deviation <= tol, deviation)

@@ -43,6 +43,7 @@ from .linalg import (
     _check_tolerance,
     _circulant_hadamard_deviation,
     _freeze,
+    _tolerance,
     adjoint,
     build_clock,
     build_fourier,
@@ -53,7 +54,6 @@ from .linalg import (
     build_triangular_diagonal,
     circulant_deviation,
     circulant_multiply,
-    default_tolerance,
     diagonalize_circulant,
     is_unitary,
     is_unitary_hadamard,
@@ -155,10 +155,7 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
     Pairs against the identity therefore re-check that each other member is
     itself unitary Hadamard.
     """
-    d = family.dimension
-    if tol is None:
-        tol = default_tolerance(d)
-    _check_tolerance(tol)
+    tol = _tolerance(family.dimension, tol)
     members = [basis for _, basis in family.bases]
     spectra = [diagonalize_circulant(b) if isinstance(b, CirculantMatrix) else None for b in members]
     pairs = []
@@ -185,38 +182,32 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
 class EvenSquareCheck:
     """Expected-failure probe: in even dimensions the rotation square stays
     unitary and circulant yet is not a Hadamard matrix, which is exactly
-    why the even family stops at three bases."""
+    why the even family stops at three bases.  passed: the square is unitary
+    and circulant within the tolerance, and not unitary Hadamard."""
 
-    tolerance: float
+    passed: bool
     unitary: CheckResult
     circulant_dev: float
     hadamard: CheckResult
     modulus_min: float
     modulus_max: float
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.unitary.passed
-            and self.circulant_dev <= self.tolerance
-            and not self.hadamard.passed
-        )
-
 
 def negative_check_even(d: int, tol: float | None = None) -> EvenSquareCheck:
     """Square the even-dimension rotation densely and document the defect."""
     _check_dimension(d, 4, "even", "rotation-square probe dimension")
-    if tol is None:
-        tol = default_tolerance(d)
-    _check_tolerance(tol)
+    tol = _tolerance(d, tol)
     dense = build_rotation(d).to_dense()
     square = dense @ dense
     moduli = np.abs(square)
+    unitary = is_unitary(square, tol)
+    circulant_dev = circulant_deviation(square)
+    hadamard = is_unitary_hadamard(square, tol)
     return EvenSquareCheck(
-        tolerance=tol,
-        unitary=is_unitary(square, tol),
-        circulant_dev=circulant_deviation(square),
-        hadamard=is_unitary_hadamard(square, tol),
+        passed=unitary.passed and circulant_dev <= tol and not hadamard.passed,
+        unitary=unitary,
+        circulant_dev=circulant_dev,
+        hadamard=hadamard,
         modulus_min=float(moduli.min()),
         modulus_max=float(moduli.max()),
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_tolerance, default_tolerance
+from .linalg import _tolerance
 from .phase_ring import _check_dimension, root_table, triangular_phase
 
 # the largest length and alphabet order that exhaustive_biunimodular enumerates
@@ -71,9 +71,7 @@ def autocorrelation(c, j: int) -> complex:
 def is_biunimodular(c, tol: float | None = None) -> BiunimodularityReport:
     """Check |c[j]| = 1 and |hat(c)[l]| = 1 for all j, l, within tol."""
     c = as_sequence(c)
-    if tol is None:
-        tol = default_tolerance(c.dimension)
-    _check_tolerance(tol)
+    tol = _tolerance(c.dimension, tol)
     freq = dft_sequence(c)
     freq_moduli = np.abs(freq.values)
     freq_moduli.setflags(write=False)
@@ -120,9 +118,7 @@ def exhaustive_biunimodular(
         raise ValueError(
             f"exhaustive search supports alphabets up to order {MAX_SEARCH_ALPHABET}, got {alphabet_order}"
         )
-    if tol is None:
-        tol = default_tolerance(d)
-    _check_tolerance(tol)
+    tol = _tolerance(d, tol)
     m = alphabet_order
     alphabet = np.exp(2j * np.pi * np.arange(m) / m)
     # positive-exponent DFT matrix, normalized; moduli of c @ dft are |hat(c)|

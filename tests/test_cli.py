@@ -677,7 +677,7 @@ def test_entry_texts_formats_each_distinct_bit_pattern_once(entries):
     assert grid.ravel().tolist() == [expected[i] for i in inverse.ravel()]
 
 
-def test_tolerance_flag_and_environment(capsys, monkeypatch):
+def test_tolerance_flag_and_environment(capsys, monkeypatch, tmp_path):
     assert main(["verify", "--dims", "5", "--tol", "1e-30"]) == EXIT_FAILURES
     capsys.readouterr()
     # --tol is the one source of the tolerance base: the environment variable
@@ -691,6 +691,26 @@ def test_tolerance_flag_and_environment(capsys, monkeypatch):
     assert doc["config"]["tolerance_base"] == pytest.approx(1e-8)
     assert main(["verify", "--dims", "5", "--tol", "-1.0"]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: tolerance must be a positive finite number, got -1.0\n"
+    # a base whose scaled tolerance overflows at a planned d is a usage error,
+    # found before --output is opened and before any family is built
+    target = tmp_path / "report.txt"
+    monkeypatch.setattr(cli, "build_family", lambda d: pytest.fail(f"built a family at d={d}"))
+    for argv, d in (
+        (["verify", "--dims", "4", "--tol", "1e308"], 4),
+        (["sweep", "--dims", "4", "--tol", "1e308"], 4),
+        (["build", "--dim", "5", "--tol", "1e308"], 5),
+        (["seq", "gauss", "--d", "9", "--tol", "1e308"], 9),
+        (["search", "--d", "4", "--alphabet", "4", "--tol", "1e308"], 4),
+        (["verify", "--dims", "2..400", "--tol", "1e307"], 324),
+    ):
+        target.write_text("an earlier report\n")
+        assert main(argv + ["--output", str(target)]) == EXIT_USAGE, argv
+        base = float(argv[-1])
+        expected = f"error: tolerance base {base} times sqrt({d}) is inf, not a positive finite number\n"
+        assert capsys.readouterr().err == expected
+        assert target.read_text() == "an earlier report\n"
+    # scalar Gauss sum checks apply the base as it is
+    assert main(["gauss", "even", "--d", "4", "--tol", "1e308"]) == EXIT_OK
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):

@@ -14,7 +14,9 @@ from circulant_mub import (
     smallest_nontrivial_divisor,
     verify_even_gauss,
 )
-from circulant_mub.gauss import power_sum_deviations
+from circulant_mub.gauss import power_sum_deviations, shift_sums
+from circulant_mub.linalg import default_tolerance
+from circulant_mub.mub import coprime_power_mismatches
 from test_cli import verify_triangular_trace
 
 
@@ -188,12 +190,41 @@ def test_rotation_power_sums_validation():
         power_sum_deviations(7, [2], [7])
 
 
+def cyclotomic(d):
+    """The integer coefficients of Phi_d, constant term first: x**d - 1
+    divided exactly by Phi_e for every proper divisor e of d."""
+    quotient = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            divisor = cyclotomic(e)  # monic
+            remainder, quotient = quotient, [0] * (len(quotient) - len(divisor) + 1)
+            for i in reversed(range(len(quotient))):
+                quotient[i] = remainder[i + len(divisor) - 1]
+                for j, coefficient in enumerate(divisor):
+                    remainder[i + j] -= quotient[i] * coefficient
+            assert not any(remainder), (d, e)
+    return quotient
+
+
+def power_basis(d):
+    """The d x phi(d) integer matrix whose row s holds the coefficients of
+    x**s mod Phi_d, that is of zeta_d**s in the basis 1, zeta_d, ...,
+    zeta_d**(phi(d) - 1) of Q(zeta_d) over Q."""
+    phi = cyclotomic(d)
+    rows = [[1] + [0] * (len(phi) - 2)]
+    for _ in range(1, d):
+        row = [0] + rows[-1]
+        top = row.pop()  # x**deg(Phi_d) = -(the lower terms of Phi_d)
+        rows.append([r - top * p for r, p in zip(row, phi)])
+    return np.array(rows, dtype=np.int64)
+
+
 def exact_certificates(d, ks):
-    """certified[i, m]: the integer autocorrelation c of the histogram h of
-    t_j = k*j*(j+1)/2 + m*j mod d, k = ks[i], satisfies c_s = c_0 - d for every
-    s != 0.  |S(k, k + 2m, d)|**2 = sum_s c_s zeta_d**s, so since
-    sum_s zeta_d**s = 0 the certificate proves |S|**2 = d exactly; for prime d
-    that is the only rational relation, so it is also necessary.  Integers only."""
+    """certified[i, m]: |S(k, k + 2m, d)|**2 = d exactly, k = ks[i].  The
+    histogram h of t_j = k*j*(j+1)/2 + m*j mod d has the integer
+    autocorrelation c with |S|**2 = sum_s c_s zeta_d**s, so |S|**2 = d exactly
+    when c @ power_basis(d) = (d, 0, ..., 0); for prime d that reads
+    c_s = c_0 - d for every s != 0.  Integers only."""
     k = np.asarray(ks, dtype=np.int64)[:, None, None]
     m = np.arange(d, dtype=np.int64)[None, :, None]
     j = np.arange(d, dtype=np.int64)
@@ -203,7 +234,8 @@ def exact_certificates(d, ks):
     np.add.at(h, (k_index, m_index, t), 1)
     c = np.stack([np.einsum("kma,kma->km", np.roll(h, -s, axis=-1), h) for s in range(d)], axis=-1)
     assert (c.sum(axis=-1) == d * d).all() and (c[..., 0] == (h * h).sum(axis=-1)).all()
-    return (c[..., 1:] == c[..., :1] - d).all(axis=-1)
+    reduced = c @ power_basis(d)
+    return (reduced[..., 0] == d) & (reduced[..., 1:] == 0).all(axis=-1)
 
 
 def test_rotation_power_sums_have_exact_certificates_at_every_prime():
@@ -222,3 +254,15 @@ def test_rotation_power_sums_have_exact_certificates_at_every_prime():
 def test_exact_certificate_refuses_every_noncoprime_power(d):
     ks = [k for k in range(1, d) if math.gcd(k, d) > 1]
     assert not exact_certificates(d, ks).any()
+
+
+@pytest.mark.parametrize("d", [9, 15, 21, 25, 27, 33, 35, 45])
+def test_exact_certificates_at_composite_d_certify_exactly_the_coprime_powers(d):
+    ks = list(range(1, d))
+    certified = exact_certificates(d, ks)
+    coprime = np.array([math.gcd(k, d) == 1 for k in ks])
+    assert (certified == coprime[:, None]).all()
+    # the float sums reach sqrt(d) on exactly the certified (k, m)
+    near = np.array([np.abs(np.abs(shift_sums(d, k)) - math.sqrt(d)) <= 1e-9 for k in ks])
+    assert (near == certified).all()
+    assert coprime_power_mismatches(d, default_tolerance(d)) == []

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from circulant_mub import (
+    CheckResult,
     CirculantMatrix,
     adjoint,
     build_clock,
@@ -357,6 +358,15 @@ def test_default_tolerance_scales_with_sqrt_d():
     assert default_tolerance(9, base=1e-6) == pytest.approx(3e-6)
     with pytest.raises(ValueError):
         default_tolerance(4, base=0.0)
+    # the scaled budget itself must be positive and finite: the message names the base and d
+    for d, base in ((4, 1e308), (0, 1e-9)):
+        with pytest.raises(ValueError, match=re.escape(f"tolerance base {base} times sqrt({d}) is")):
+            default_tolerance(d, base)
+    # tol=None is default_tolerance(d), 2e-9 at d = 4, which this deviation of 1.5e-9 passes
+    near = build_fourier(4).entries * math.sqrt(1 + 1.5e-9)
+    for check in (is_unitary, is_unitary_hadamard):
+        assert check(near) == check(near, default_tolerance(4)) == CheckResult(True, check(near).deviation)
+        assert not check(near, 1e-9).passed
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])

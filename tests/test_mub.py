@@ -111,6 +111,12 @@ def test_verifier_flags_biased_pair():
     assert report.pairs[0].deviation == pytest.approx(1 - 0.5)
     with pytest.raises(ValueError):
         verify_family(duplicated, tol=-1.0)
+    # tol=None is default_tolerance(d): 2e-9 at d = 4 admits an F off unitarity by 1.5e-9
+    skew = math.sqrt(1 + 1.5e-9)
+    bases = [(label, DenseUnitary(d, b.entries * skew) if label == "F" else b) for label, b in build_family(d).bases]
+    near = MubFamily(d, tuple(bases), Recipe.EVEN)
+    assert verify_family(near) == verify_family(near, default_tolerance(d))
+    assert verify_family(near).passed and not verify_family(near, 1e-9).passed
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
@@ -124,6 +130,7 @@ def test_tolerance_must_be_positive_and_finite(tol):
 @pytest.mark.parametrize("d", [4, 6, 8, 10, 14, 16])
 def test_even_rotation_square_defect(d):
     check = negative_check_even(d)
+    assert negative_check_even(d, default_tolerance(d)) == check  # tol=None is default_tolerance(d)
     assert check.passed  # passed means the defect is present as expected
     assert check.unitary.passed
     assert check.circulant_dev < 1e-12

@@ -158,6 +158,11 @@ def test_biunimodular_report_fields():
     assert report.freq_deviation > 0.1
     assert report.deviation == report.freq_deviation
     assert report.freq_moduli.shape == (9,)
+    # tol=None is default_tolerance(d): 3e-9 at d = 9 admits moduli off by 1.5e-9
+    near = gauss_sequence(9, 1).values * (1 + 1.5e-9)
+    default, scaled = is_biunimodular(near), is_biunimodular(near, default_tolerance(9))
+    assert (default.passed, default.deviation) == (scaled.passed, scaled.deviation)
+    assert default.passed and not is_biunimodular(near, 1e-9).passed
 
 
 def test_constant_sequence_fails_on_frequency_side():
@@ -201,7 +206,9 @@ def test_exhaustive_search_matches_full_enumeration(d):
     bases = (1e-9, 1e-6, 1e-3)
     for m in range(1, 13 if d <= 5 else 9):
         tols = [default_tolerance(d, base) for base in bases]
-        for tol, expected in zip(tols, exhaustive_oracle(d, m, tols)):
+        oracle = exhaustive_oracle(d, m, tols)
+        # tol=None is default_tolerance(d), the first of tols
+        for tol, expected in zip([None, *tols], [oracle[0], *oracle]):
             hits = exhaustive_biunimodular(d, m, tol)
             assert len(hits) == len(expected), (d, m, tol)
             for hit, row in zip(hits, expected):

@@ -41,6 +41,10 @@ COMMANDS = [
     ["seq", "gauss", "--d", "3..41"],
     ["search", "--d", "6", "--alphabet", "12"],
     ["search", "--d", "4", "--alphabet", "8"],
+    # a base that overflows once scaled by sqrt(d) (a usage error), and the
+    # same base applied as it is by a scalar Gauss sum check
+    ["verify", "--dims", "4", "--tol", "1e308"],
+    ["gauss", "even", "--d", "4", "--tol", "1e308"],
 ]
 FORMATS = ("json", "text", "csv")
 
