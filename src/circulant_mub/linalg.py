@@ -41,8 +41,8 @@ def _check_tolerance(tol: float) -> float:
 def default_tolerance(d: int, base: float = DEFAULT_TOL_BASE) -> float:
     """Deviation budget base * sqrt(d): matrix checks accumulate error
     over d-term sums, so the budget grows with the dimension.  A budget that
-    is not positive and finite (d = 0, or a base that overflows) is refused."""
-    tol = _check_tolerance(base) * math.sqrt(d)
+    is not positive and finite (d < 1, or a base that overflows) is refused."""
+    tol = _check_tolerance(base) * (math.sqrt(d) if d >= 0 else math.nan)
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tolerance base {base} times sqrt({d}) is {tol}, not a positive finite number")
     return tol

@@ -358,8 +358,9 @@ def test_default_tolerance_scales_with_sqrt_d():
     assert default_tolerance(9, base=1e-6) == pytest.approx(3e-6)
     with pytest.raises(ValueError):
         default_tolerance(4, base=0.0)
-    # the scaled budget itself must be positive and finite: the message names the base and d
-    for d, base in ((4, 1e308), (0, 1e-9)):
+    # the scaled budget itself must be positive and finite, so any d < 1 is refused:
+    # the message names the base and d
+    for d, base in ((4, 1e308), (0, 1e-9), (-1, 1e-9), (-4, 1e-9)):
         with pytest.raises(ValueError, match=re.escape(f"tolerance base {base} times sqrt({d}) is")):
             default_tolerance(d, base)
     # tol=None is default_tolerance(d), 2e-9 at d = 4, which this deviation of 1.5e-9 passes

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,30 @@ def exhaustive_oracle(d, m, tols):
         ]
     )
     return [rows[deviation <= tol] for tol in tols]
+
+
+def gemm_oracle(d, m, tols):
+    """Every row with c[0] = 1, in base-m digit order, tested on the matrix
+    product rows @ dft in chunks of 2**14, where the search adds two half
+    transforms; each hit stands for its m phase multiples, sorted by base-m
+    number.  The deviations are computed once; one hit list per tolerance."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    k = np.arange(d)
+    dft = np.exp(2j * np.pi * np.outer(k, k) / d) / math.sqrt(d)
+    place = m ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(m ** (d - 1), dtype=np.int64)[:, None] // place) % m
+    chunk = 1 << 14
+    deviation = np.concatenate(
+        [
+            np.abs(np.abs(roots[digits[start : start + chunk]] @ dft) - 1.0).max(axis=1)
+            for start in range(0, len(digits), chunk)
+        ]
+    )
+    hits = []
+    for tol in tols:
+        rows = ((digits[deviation <= tol][None] + np.arange(m)[:, None, None]) % m).reshape(-1, d)
+        hits.append(roots[rows[np.argsort(rows @ place)]])
+    return hits
 
 
 def canonical_oracle(values):
@@ -213,6 +238,30 @@ def test_exhaustive_search_matches_full_enumeration(d):
             assert len(hits) == len(expected), (d, m, tol)
             for hit, row in zip(hits, expected):
                 assert hit.values.tobytes() == row.tobytes(), (d, m, tol)
+
+
+def test_exhaustive_search_matches_the_gemm_loop_at_d6():
+    # the full enumeration above stops at m = 8 for d = 6; the c[0] = 1 GEMM
+    # loop covers the larger alphabets, bit for bit, at every base
+    d = 6
+    for m in range(9, 13):
+        tols = [default_tolerance(d, base) for base in (1e-9, 1e-6, 1e-3)]
+        for tol, expected in zip(tols, gemm_oracle(d, m, tols)):
+            hits = exhaustive_biunimodular(d, m, tol)
+            assert len(hits) == len(expected), (m, tol)
+            for hit, row in zip(hits, expected):
+                assert hit.values.tobytes() == row.tobytes(), (m, tol)
+
+
+def test_exhaustive_search_temporaries_stay_under_4_mb():
+    # the docstring's bound at the largest search, d = 6 and m = 12
+    tracemalloc.start()
+    try:
+        exhaustive_biunimodular(6, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])

@@ -39,8 +39,15 @@ COMMANDS = [
     ["gauss", "trace", "--d", "3..31"],
     ["gauss", "powersums", "--d", "3..31"],
     ["seq", "gauss", "--d", "3..41"],
-    ["search", "--d", "6", "--alphabet", "12"],
+    # every head/tail shape of the split search: tails of 0, 1, 1, 2, 2, 3 and 3
+    # digits, with heads of 0, 0, 1, 1, 2, 2 and 2 free digits
+    ["search", "--d", "1", "--alphabet", "1"],
+    ["search", "--d", "2", "--alphabet", "4"],
+    ["search", "--d", "3", "--alphabet", "12"],
     ["search", "--d", "4", "--alphabet", "8"],
+    ["search", "--d", "5", "--alphabet", "10"],
+    ["search", "--d", "6", "--alphabet", "7"],
+    ["search", "--d", "6", "--alphabet", "12"],
     # a base that overflows once scaled by sqrt(d) (a usage error), and the
     # same base applied as it is by a scalar Gauss sum check
     ["verify", "--dims", "4", "--tol", "1e308"],
