@@ -1,5 +1,26 @@
+"""The command line, as `python -m circulant_mub` and as the `circulant-mub`
+console script (entry).
+
+The CLI runs on one OpenBLAS thread unless one of OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS and OMP_NUM_THREADS is set: OpenBLAS reads them once, when
+numpy loads, so the default is set here before cli is imported.  A second
+thread costs every process its start-up and doubles the CPU time of the
+small products the checks make.  The library never touches the environment.
+"""
+
+import os
 import sys
 
-from .cli import main
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-sys.exit(main())
+
+def entry() -> None:
+    if not any(name in os.environ for name in _THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    from .cli import main
+
+    sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -739,10 +739,3 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     return EXIT_FAILURES if doc["summary"]["failed"] else EXIT_OK
 
-
-def entry() -> None:  # console script hook
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    sys.exit(main())

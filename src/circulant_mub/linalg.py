@@ -67,6 +67,12 @@ class DenseUnitary:
     entries: np.ndarray
 
 
+class FourierMatrix(DenseUnitary):
+    """The dense F of build_fourier, which alone returns this type: it marks
+    the member whose pairs with circulants mub.verify_family may read from
+    spectra, F* C being diag(s) F* for a circulant C of spectrum s."""
+
+
 @dataclass(frozen=True, eq=False)
 class CirculantMatrix:
     """Stored by its first column c; the full matrix is C[j,k] = c[(j-k) mod d]."""
@@ -122,13 +128,13 @@ def _freeze(entries: np.ndarray) -> np.ndarray:
 # builders
 
 
-def build_fourier(d: int) -> DenseUnitary:
+def build_fourier(d: int) -> FourierMatrix:
     """F[j,k] = d**-0.5 * omega**(j*k)."""
     _check_dimension(d)
     idx = np.arange(d, dtype=np.int64)
     t = (2 * np.outer(idx, idx)) % (2 * d)
     entries = root_table(d)[t] / math.sqrt(d)
-    return DenseUnitary(d, _freeze(entries))
+    return FourierMatrix(d, _freeze(entries))
 
 
 def build_clock(d: int) -> DiagonalUnitary:

@@ -13,14 +13,20 @@ Families delivered here, by dimension class:
                     divisor of d above 1 (coprime powers only)
     d even >= 4     identity, Fourier, R
 
-Every member R**k and, for d >= 3, the identity are circulants and stay
-stored by their first column; F, and every member at d = 2, are dense.  The
-verifier never trusts the construction: for each pair it measures the two
-defects of is_unitary_hadamard on A* B, the worst entry of |Gram - I| and of
-||entry| - d**-0.5|.  For two circulants A* B is the circulant of spectrum
-conj(s_a) s_b, so both defects are read off first columns in O(d log d);
-every pair with a dense member is multiplied densely and checked by
-is_unitary_hadamard itself.
+Every member but F is a circulant stored by its first column: the
+identity, Y = circ((1, i) / sqrt(2)) at d = 2 and every R**k.  F is dense,
+and of the type only build_fourier returns.  The verifier never trusts the
+construction: for each pair it measures the two defects of
+is_unitary_hadamard on A* B, the worst entry of |Gram - I| and of ||entry| -
+d**-0.5|.  For two circulants A* B is the circulant of spectrum conj(s_a)
+s_b, so both defects are read off first columns in O(d log d).  F
+diagonalises every circulant, F* C = diag(s) F* for C of spectrum s, so a
+pair of F with a circulant is read from s as well, plus F's own defect,
+measured once: such a record measures C's spectrum, not the floating-point
+product F* C, and the fourier-diagonalizes-shift identity of
+structural_identities is what ties F to the DFT.  A shipped family thus
+needs no dense product; any other pair with a dense member is multiplied
+densely and checked by is_unitary_hadamard itself.
 
 structural_identities measures the matrix identities the construction rests
 on, coprime_power_mismatches the rule that R**k is unitary Hadamard exactly
@@ -40,6 +46,7 @@ from .linalg import (
     CheckResult,
     CirculantMatrix,
     DenseUnitary,
+    FourierMatrix,
     _check_tolerance,
     _circulant_hadamard_deviation,
     _freeze,
@@ -96,53 +103,36 @@ class UnbiasednessReport:
         return max(p.deviation for p in self.pairs)
 
 
-def _identity(d: int) -> DenseUnitary:
-    return DenseUnitary(d, _freeze(np.eye(d)))
-
-
-def _circulant_identity(d: int) -> CirculantMatrix:
-    column = np.zeros(d, dtype=np.complex128)
-    column[0] = 1.0
-    return CirculantMatrix(d, _freeze(column))
-
-
-def _d_two_bases() -> list[tuple[str, DenseUnitary]]:
-    one, i = root_table(2)[:2]
-    y = np.array([[one, i], [i, one]]) / math.sqrt(2)
-    return [
-        ("I", _identity(2)),
-        ("F", build_fourier(2)),
-        ("Y", DenseUnitary(2, _freeze(y))),
-    ]
-
-
 def build_family(d: int) -> MubFamily:
     """Construct the mutually unbiased family for dimension d.
 
-    Circulant members (the identity and R**k for d >= 3) are kept as first
-    columns; F and the d = 2 members are dense.  Nothing is checked here:
-    verify_family's pairs with the identity measure each other member's
-    unitarity, and every other pair its unbiasedness.
+    Every member but F is a circulant kept as its first column: the
+    identity, Y at d = 2 and the powers R**k for d >= 3.  Nothing is checked
+    here: verify_family's pairs with the identity measure each other
+    member's unitarity, and every other pair its unbiasedness.
     """
     _check_dimension(d, 2, what="mutually unbiased family dimension")
     if d == 2:
-        bases = _d_two_bases()
+        others = [("Y", CirculantMatrix(2, _freeze(root_table(2)[:2] / math.sqrt(2))))]  # circ((1, i) / sqrt(2))
         recipe = Recipe.D_TWO
     elif d % 2 == 0:
-        bases = [("I", _circulant_identity(d)), ("F", build_fourier(d)), ("R", build_rotation(d))]
+        others = [("R", build_rotation(d))]
         recipe = Recipe.EVEN
     else:
         divisor = smallest_nontrivial_divisor(d)  # d itself when d is prime
         count = divisor - 1
         recipe = Recipe.PRIME if divisor == d else Recipe.ODD_COMPOSITE
         rotation = build_rotation(d)
-        bases = [("I", _circulant_identity(d)), ("F", build_fourier(d))]
+        others = []
         current = rotation
         for k in range(1, count + 1):
-            bases.append(("R" if k == 1 else f"R^{k}", current))
+            others.append(("R" if k == 1 else f"R^{k}", current))
             if k < count:
                 current = circulant_multiply(current, rotation)
-    return MubFamily(dimension=int(d), bases=tuple(bases), recipe=recipe)
+    column = np.zeros(d, dtype=np.complex128)
+    column[0] = 1.0
+    bases = (("I", CirculantMatrix(d, _freeze(column))), ("F", build_fourier(d)), *others)
+    return MubFamily(dimension=int(d), bases=bases, recipe=recipe)
 
 
 def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessReport:
@@ -151,26 +141,45 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
     For each unordered pair (A, B) the deviation is is_unitary_hadamard's on
     A* B: the worse of max |Gram - I| and max ||entry| - d**-0.5|.  Two
     circulants: from first columns and spectra, one row of pairs at a time.
-    Any pair with a dense member: is_unitary_hadamard on the dense product.
+    The F of build_fourier (a FourierMatrix, never a member picked by its
+    label) and a circulant C of spectrum s: F* C = diag(s) F* and C* F =
+    F diag(conj(s)) both have entry moduli |s| d**-0.5, and Grams C* C and
+    diag(|s|**2), so the pair is read from s and maxed with F's own
+    is_unitary_hadamard defect, measured once.  Such a record measures C's
+    spectrum plus F's own defect, not the floating-point product F* C; the
+    fourier-diagonalizes-shift identity is what ties F to the DFT.  Any other
+    pair with a dense member: is_unitary_hadamard on the dense product.
     Pairs against the identity therefore re-check that each other member is
-    itself unitary Hadamard.
+    itself unitary Hadamard (I|F is F's own defect).
     """
     tol = _tolerance(family.dimension, tol)
+    root_d = math.sqrt(family.dimension)
     members = [basis for _, basis in family.bases]
     spectra = [diagonalize_circulant(b) if isinstance(b, CirculantMatrix) else None for b in members]
+    own = [is_unitary_hadamard(b, tol).deviation if isinstance(b, FourierMatrix) else None for b in members]
     pairs = []
     for i, (label_a, a) in enumerate(family.bases):
         later = range(i + 1, len(members))
         deviations = {}
-        circulants = [j for j in later if spectra[j] is not None] if spectra[i] is not None else []
-        if circulants:
+        circulants = [j for j in later if spectra[j] is not None]
+        if circulants and spectra[i] is not None:
             # A* B is the circulant of spectrum conj(s_a) s_b: the whole row at once
             product = np.conj(spectra[i]) * np.array([spectra[j] for j in circulants])
             row = _circulant_hadamard_deviation(np.fft.ifft(product, axis=-1), product)
             deviations = dict(zip(circulants, row.tolist()))
+        elif circulants and own[i] is not None:
+            # F* C = diag(s) F*: entry moduli |s| d**-0.5, Gram C* C of spectrum |s|**2
+            stacked = np.array([spectra[j] for j in circulants])
+            row = np.maximum(own[i], _circulant_hadamard_deviation(stacked / root_d, stacked))
+            deviations = dict(zip(circulants, row.tolist()))
+        if spectra[i] is not None:
+            # C* F = F diag(conj(s)): entry moduli |s| d**-0.5, Gram diag(|s|**2)
+            moduli = np.abs(spectra[i])
+            defect = max(float(np.abs(moduli**2 - 1.0).max()), float(np.abs(moduli - 1.0).max()) / root_d)
+            deviations.update((j, max(own[j], defect)) for j in later if own[j] is not None)
         dense = [j for j in later if j not in deviations]
         if dense:
-            a_adj = adjoint(a)  # once per row, and never for a row of circulants alone
+            a_adj = adjoint(a)  # once per row, and never for a row the spectra cover
             for j in dense:
                 deviations[j] = is_unitary_hadamard(multiply(a_adj, members[j]), tol).deviation
         for j in later:
@@ -260,8 +269,11 @@ def coprime_power_mismatches(d: int, tol: float) -> list[int]:
     """The k in 1..d-1 at which "R**k is unitary Hadamard within tol"
     disagrees with gcd(k, d) = 1, which the paper's rule leaves empty for
     odd d.  R**k is the circulant of spectrum s**k, s the spectrum of R, so
-    every power is measured from one batch of spectra, never densely."""
+    every power is measured from one batch of spectra, never densely.  Row
+    k - 1 is the cumulative product s * ... * s of the built spectrum, so it
+    measures the built R, not exact exponents."""
     _check_tolerance(tol)
-    spectra = diagonalize_circulant(build_rotation(d)) ** np.arange(1, d)[:, None]  # the builder guards d first
+    spectrum = diagonalize_circulant(build_rotation(d))  # the builder guards d first
+    spectra = np.cumprod(np.broadcast_to(spectrum, (d - 1, d)), axis=0)
     deviations = _circulant_hadamard_deviation(np.fft.ifft(spectra, axis=-1), spectra)
     return [k for k, dev in zip(range(1, d), deviations.tolist()) if (dev <= tol) != (math.gcd(k, d) == 1)]

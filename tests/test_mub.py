@@ -23,8 +23,8 @@ from circulant_mub import (
     verify_family,
 )
 from circulant_mub import mub
-from circulant_mub.linalg import _circulant_hadamard_deviation, as_matrix
-from circulant_mub.mub import _identity, coprime_power_mismatches, structural_identities
+from circulant_mub.linalg import FourierMatrix, _circulant_hadamard_deviation, as_matrix
+from circulant_mub.mub import coprime_power_mismatches, structural_identities
 
 
 def test_recipe_labels_are_stable():
@@ -39,7 +39,7 @@ def test_family_dimension_two():
     family = build_family(2)
     assert family.recipe is Recipe.D_TWO
     assert tuple(label for label, _ in family.bases) == ("I", "F", "Y")
-    y = dict(family.bases)["Y"].entries
+    y = as_matrix(dict(family.bases)["Y"])
     expected = np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2)
     assert np.array_equal(y, expected)
     report = verify_family(family, tol=1e-12)
@@ -101,9 +101,10 @@ def test_pairwise_moduli_direct_oracle():
 
 def test_verifier_flags_biased_pair():
     d = 4
+    identity = DenseUnitary(d, np.eye(d, dtype=np.complex128))
     duplicated = MubFamily(
         dimension=d,
-        bases=(("I", _identity(d)), ("J", _identity(d))),
+        bases=(("I", identity), ("J", identity)),
         recipe=Recipe.EVEN,
     )
     report = verify_family(duplicated)
@@ -174,11 +175,13 @@ def _assert_matches_oracle(family):
     oracle = _dense_oracle(family, tol)
     bases = dict(family.bases)
     assert [(p.label_a, p.label_b, p.passed) for p in report.pairs] == [o[:3] for o in oracle]
-    # a pair with a dense member is the oracle's own computation; two
-    # circulants are read from spectra, within rounding of the dense product
+    # two circulants, or build_fourier's F and a circulant, are read from
+    # spectra, within rounding of the dense product; a pair with any other
+    # dense member is the oracle's own computation
     for pair, (*_, deviation) in zip(report.pairs, oracle):
         members = bases[pair.label_a], bases[pair.label_b]
-        if all(isinstance(m, CirculantMatrix) for m in members):
+        circulants = sum(isinstance(m, CirculantMatrix) for m in members)
+        if circulants == 2 or (circulants == 1 and any(isinstance(m, FourierMatrix) for m in members)):
             assert abs(pair.deviation - deviation) <= 1e-14, (pair, deviation)
         else:
             assert pair.deviation == deviation, (pair, deviation)
@@ -214,30 +217,46 @@ def test_structured_verifier_matches_dense_oracle_on_biased_families():
 
 
 def test_family_members_keep_their_structure():
-    for d in (3, 4, 9):
+    for d in (2, 3, 4, 9):
         bases = dict(build_family(d).bases)
-        assert isinstance(bases["F"], DenseUnitary)
+        assert isinstance(bases["F"], FourierMatrix)
         assert all(isinstance(b, CirculantMatrix) for label, b in bases.items() if label != "F")
         assert np.array_equal(as_matrix(bases["I"]), np.eye(d))
-    assert all(isinstance(b, DenseUnitary) for _, b in build_family(2).bases)
 
 
 def test_circulant_pairs_need_no_dense_product(monkeypatch):
-    # two circulants are read from spectra; every pair with F is a dense product
+    # two circulants, and build_fourier's F with a circulant, are read from
+    # spectra; every shipped family is circulants plus that one F
     products = []
+    monkeypatch.setattr(mub, "multiply", lambda a, b: products.append("multiply"))
+    monkeypatch.setattr(mub, "adjoint", lambda a: products.append("adjoint"))
+    for d in range(2, 41):
+        assert verify_family(build_family(d)).passed, d
+    assert products == []
+
+
+def test_fourier_held_as_plain_dense_takes_the_dense_product(monkeypatch):
+    # the spectral F rule follows build_fourier's type, never the label "F":
+    # the same entries as a plain DenseUnitary, or a random G, are multiplied
+    d = 13
+    calls = []
 
     def counting(a, b):
-        products.append((a, b))
+        calls.append(b)
         return multiply(a, b)
 
     monkeypatch.setattr(mub, "multiply", counting)
-    family = build_family(13)
-    assert verify_family(family).passed
-    assert len(products) == 13  # I|F and F|R^k for k = 1..12
-    circulants = tuple((label, b) for label, b in family.bases if label != "F")
-    products.clear()
-    assert verify_family(MubFamily(13, circulants, family.recipe)).passed
-    assert products == []
+    family = build_family(d)
+    plain = tuple((label, DenseUnitary(d, b.entries) if label == "F" else b) for label, b in family.bases)
+    assert verify_family(MubFamily(d, plain, family.recipe)).passed
+    assert len(calls) == d  # I|F and F|R^k for k = 1..12
+    rng = np.random.default_rng(1)
+    gaussian = DenseUnitary(d, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    calls.clear()
+    report = verify_family(MubFamily(d, (*family.bases, ("G", gaussian)), family.recipe))
+    assert calls == [gaussian] * (d + 1)  # every member against G
+    assert [p.passed for p in report.pairs if p.label_b == "G"] == [False] * (d + 1)
+    assert all(p.passed for p in report.pairs if p.label_b != "G")
 
 
 def test_prime_family_beyond_the_dense_verifier():
