@@ -45,7 +45,6 @@ _EXPORTS = {
     ),
     "sequences": (
         "BiunimodularityReport",
-        "Sequence",
         "as_sequence",
         "autocorrelation",
         "canonical_form",

@@ -88,13 +88,16 @@ class CirculantMatrix:
 @dataclass(frozen=True, eq=False)
 class DiagonalUnitary:
     """Diagonal of exact phases exp(i*pi*t/d), stored as the int64 exponents
-    t reduced mod 2d and materialized on demand."""
+    t reduced mod 2d and materialized on demand.  It keeps a read-only copy
+    of the exponents it is given, so the caller's array stays writable."""
 
     dimension: int
     exponents: np.ndarray
 
     def __post_init__(self) -> None:
-        self.exponents.setflags(write=False)
+        exponents = np.array(self.exponents)
+        exponents.setflags(write=False)
+        object.__setattr__(self, "exponents", exponents)
 
     def values(self) -> np.ndarray:
         return root_table(self.dimension)[self.exponents]

@@ -1,13 +1,15 @@
 """Finite complex sequences, their DFT, and bi-unimodularity.
 
-A sequence c of length d is bi-unimodular when both c and its normalized
-DFT have all entries on the unit circle.  Such sequences are exactly the
-first columns (times d**0.5) of circulant unitary Hadamard matrices, which
-is why they matter here.  The classical examples in odd dimension are the
-Gauss sequences g(k)[j] = exp(i*pi*k*j*(j+1)/d).  exhaustive_biunimodular
-tests every sequence over the m-th roots, adding two tabled half transforms per
-candidate; group_orbits sorts its hits into orbits under shifts and a global
-phase, and alphabet_exponents reads an orbit's key back as exponents of the roots.
+A sequence is a 1-d complex128 numpy array.  Every function here takes any
+1-d array-like and never writes to it; the arrays it builds and returns are
+read-only.  A sequence c of length d is bi-unimodular when both c and its
+normalized DFT have all entries on the unit circle.  Such sequences are exactly
+the first columns (times d**0.5) of circulant unitary Hadamard matrices.  The
+classical examples in odd dimension are the Gauss sequences
+g(k)[j] = exp(i*pi*k*j*(j+1)/d).  exhaustive_biunimodular tests every sequence
+over the m-th roots, adding two tabled half transforms per candidate;
+group_orbits sorts its hits into orbits under shifts and a global phase, and
+alphabet_exponents reads an orbit's key back as exponents of the roots.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _tolerance
+from .linalg import _freeze, _tolerance
 from .phase_ring import _check_dimension, root_table, triangular_phase
 
 # the largest length and alphabet order that exhaustive_biunimodular enumerates
@@ -25,20 +27,12 @@ MAX_SEARCH_DIMENSION = 6
 MAX_SEARCH_ALPHABET = 12
 
 
-@dataclass(frozen=True, eq=False)
-class Sequence:
-    dimension: int
-    values: np.ndarray
-
-
-def as_sequence(values) -> Sequence:
-    if isinstance(values, Sequence):
-        return values
-    arr = np.ascontiguousarray(values, dtype=np.complex128)
+def as_sequence(values) -> np.ndarray:
+    """np.asarray(values, complex128), refused unless 1-d and nonempty; never frozen."""
+    arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a nonempty 1-d sequence, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return Sequence(arr.size, arr)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,30 +47,27 @@ class BiunimodularityReport:
         return max(self.time_deviation, self.freq_deviation)
 
 
-def dft_sequence(c) -> Sequence:
+def dft_sequence(c) -> np.ndarray:
     """Normalized DFT with positive exponent:
     hat(c)[l] = d**-0.5 * sum_k c[k] * exp(2*i*pi*k*l/d)."""
     c = as_sequence(c)
-    values = np.fft.ifft(c.values) * math.sqrt(c.dimension)
-    values.setflags(write=False)
-    return Sequence(c.dimension, values)
+    return _freeze(np.fft.ifft(c) * math.sqrt(c.size))
 
 
 def autocorrelation(c, j: int) -> complex:
     """sum_k conj(c[k]) * c[(j+k) mod d].  Equals, via Parseval, the sum
     sum_l |hat(c)[l]|**2 * exp(-2*i*pi*j*l/d)."""
     c = as_sequence(c)
-    return complex(np.sum(np.conj(c.values) * np.roll(c.values, -j)))
+    return complex(np.sum(np.conj(c) * np.roll(c, -j)))
 
 
 def is_biunimodular(c, tol: float | None = None) -> BiunimodularityReport:
     """Check |c[j]| = 1 and |hat(c)[l]| = 1 for all j, l, within tol."""
     c = as_sequence(c)
-    tol = _tolerance(c.dimension, tol)
-    freq = dft_sequence(c)
-    freq_moduli = np.abs(freq.values)
+    tol = _tolerance(c.size, tol)
+    freq_moduli = np.abs(dft_sequence(c))
     freq_moduli.setflags(write=False)
-    time_dev = float(np.abs(np.abs(c.values) - 1.0).max())
+    time_dev = float(np.abs(np.abs(c) - 1.0).max())
     freq_dev = float(np.abs(freq_moduli - 1.0).max())
     return BiunimodularityReport(
         passed=(time_dev <= tol and freq_dev <= tol),
@@ -86,24 +77,23 @@ def is_biunimodular(c, tol: float | None = None) -> BiunimodularityReport:
     )
 
 
-def gauss_sequence(d: int, k: int) -> Sequence:
+def gauss_sequence(d: int, k: int) -> np.ndarray:
     """g(k)[j] = exp(i*pi*k*j*(j+1)/d) for odd d.
 
     The exponent k*j*(j+1) is even, so g(k) lives on the d-th roots of
     unity; it is bi-unimodular exactly when gcd(k, d) = 1.
     """
     _check_dimension(d, 3, "odd", "Gauss sequence length")
-    values = root_table(d)[triangular_phase(np.arange(d, dtype=np.int64), k, d)]
-    values.setflags(write=False)
-    return Sequence(d, values)
+    return _freeze(root_table(d)[triangular_phase(np.arange(d, dtype=np.int64), k, d)])
 
 
 def exhaustive_biunimodular(
     d: int, alphabet_order: int, tol: float | None = None
-) -> list[Sequence]:
+) -> list[np.ndarray]:
     """Enumerate all alphabet_order**d sequences over the alphabet of
     alphabet_order-th roots of unity and keep the bi-unimodular ones, in
-    the order of their base-alphabet_order exponent digits.
+    the order of their base-alphabet_order exponent digits, as the rows of
+    one read-only array.
 
     Brute force by design: this is the ground-truth oracle the structured
     constructions are compared against, so it must not share code with
@@ -146,9 +136,7 @@ def exhaustive_biunimodular(
         accepted.append(np.hstack((head_digits[start + u], tail_digits[v])))
     digits = (np.concatenate(accepted)[None] + np.arange(m)[:, None, None]) % m
     digits = digits.reshape(-1, d)
-    values = alphabet[digits[np.lexsort(digits.T[::-1])]]
-    values.setflags(write=False)
-    return [Sequence(d, row) for row in values]
+    return list(_freeze(alphabet[digits[np.lexsort(digits.T[::-1])]]))
 
 
 def shift_phase_equivalent(a, b) -> bool:
@@ -159,12 +147,12 @@ def shift_phase_equivalent(a, b) -> bool:
     the test compares entrywise ratios across every shift.
     """
     a, b = as_sequence(a), as_sequence(b)
-    if a.dimension != b.dimension:
+    if a.size != b.size:
         return False
-    if np.abs(a.values).min() < 1e-12:
+    if np.abs(a).min() < 1e-12:
         raise ValueError("shift/phase comparison needs nonvanishing entries")
-    for r in range(a.dimension):
-        ratio = b.values / np.roll(a.values, -r)
+    for r in range(a.size):
+        ratio = b / np.roll(a, -r)
         if np.abs(ratio - ratio[0]).max() <= 1e-9:
             return True
     return False
@@ -176,10 +164,10 @@ def canonical_form(c) -> tuple:
     decimals, and take the lexicographically least tuple of (re, im) pairs
     (the first least, in shift order)."""
     c = as_sequence(c)
-    if np.abs(c.values).min() < 1e-12:
+    if np.abs(c).min() < 1e-12:
         raise ValueError("canonical form needs nonvanishing entries")
-    idx = np.arange(c.dimension)
-    shifts = c.values[(idx[:, None] + idx[None, :]) % c.dimension]  # row r: c rolled by -r
+    idx = np.arange(c.size)
+    shifts = c[(idx[:, None] + idx[None, :]) % c.size]  # row r: c rolled by -r
     shifts = shifts / shifts[:, :1]
     pairs = np.stack((np.round(shifts.real, 9), np.round(shifts.imag, 9)), axis=-1)
     return min(tuple(map(tuple, key)) for key in pairs.tolist())

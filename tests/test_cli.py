@@ -474,8 +474,8 @@ def test_search_orbits_match_exact_exponent_canonicalization():
             roots = np.exp(2j * np.pi * np.arange(m) / m)
             exact = set()
             for hit in hits:
-                exps = np.rint(np.angle(hit.values) * m / (2 * np.pi)).astype(int) % m
-                assert np.abs(roots[exps] - hit.values).max() < 1e-12
+                exps = np.rint(np.angle(hit) * m / (2 * np.pi)).astype(int) % m
+                assert np.abs(roots[exps] - hit).max() < 1e-12
                 exact.add(min(tuple((np.roll(exps, -r) - exps[r]) % m) for r in range(d)))
             orbits = group_orbits(hits)
             assert len(orbits) == len(exact), (d, m)

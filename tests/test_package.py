@@ -26,7 +26,7 @@ EXPORTS = {
         "rotation_scalar"
     ),
     "sequences": (
-        "BiunimodularityReport Sequence as_sequence autocorrelation canonical_form dft_sequence "
+        "BiunimodularityReport as_sequence autocorrelation canonical_form dft_sequence "
         "exhaustive_biunimodular gauss_sequence is_biunimodular shift_phase_equivalent"
     ),
     "gauss": (

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from circulant_mub import (
-    Sequence,
+    DiagonalUnitary,
     as_sequence,
     autocorrelation,
+    build_clock,
+    build_square_diagonal,
+    build_triangular_diagonal,
     canonical_form,
     dft_sequence,
     exhaustive_biunimodular,
@@ -19,6 +22,7 @@ from circulant_mub import (
     shift_phase_equivalent,
 )
 from circulant_mub.linalg import default_tolerance
+from circulant_mub.sequences import group_orbits
 
 
 def dft_oracle(values):
@@ -98,32 +102,69 @@ def key_bits(key):
 
 def test_as_sequence_shapes():
     s = as_sequence([1.0, 1j])
-    assert isinstance(s, Sequence)
-    assert s.dimension == 2
-    assert as_sequence(s) is s
-    with pytest.raises(ValueError):
-        as_sequence(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        as_sequence([])
+    assert type(s) is np.ndarray and s.dtype == np.complex128 and s.shape == (2,)
+    c = np.array([1.0, 1j])
+    assert as_sequence(c) is c
+    for bad in (1j, np.ones((2, 2)), []):
+        with pytest.raises(ValueError):
+            as_sequence(bad)
+
+
+def test_callers_arrays_stay_writable_and_built_arrays_are_read_only():
+    """No call writes to or freezes the array it is handed, and what
+    gauss_sequence, dft_sequence, exhaustive_biunimodular and the diagonal
+    builders return is read-only."""
+    calls = {
+        "is_biunimodular": is_biunimodular,
+        "dft_sequence": dft_sequence,
+        "autocorrelation": lambda c: autocorrelation(c, 2),
+        "canonical_form": canonical_form,
+        "shift_phase_equivalent": lambda c: shift_phase_equivalent(c, c),
+        "group_orbits": lambda c: group_orbits([c]),
+        "DiagonalUnitary": lambda e: DiagonalUnitary(5, e),
+    }
+    rng = np.random.default_rng(23)
+    for name, call in calls.items():
+        c = np.arange(5, dtype=np.int64) if name == "DiagonalUnitary" else random_unimodular(5, rng)
+        before = c.tobytes()
+        call(c)
+        assert c.flags.writeable and c.tobytes() == before, name
+        c[0] = 1  # raises ValueError on a frozen array
+    e = np.arange(5, dtype=np.int64)
+    diagonal = DiagonalUnitary(5, e)
+    e[0] = 3
+    assert diagonal.exponents[0] == 0
+    built = {
+        "gauss_sequence": gauss_sequence(5, 1),
+        "dft_sequence": dft_sequence([1.0, 1j, -1.0]),
+        "DiagonalUnitary": diagonal.exponents,
+        "build_clock": build_clock(5).exponents,
+        "build_triangular_diagonal": build_triangular_diagonal(5).exponents,
+        "build_square_diagonal": build_square_diagonal(4).exponents,
+        "DiagonalUnitary.power": build_clock(5).power(2).exponents,
+    }
+    built.update((f"exhaustive_biunimodular[{i}]", hit) for i, hit in enumerate(exhaustive_biunimodular(3, 3)))
+    for name, array in built.items():
+        assert isinstance(array, np.ndarray) and not array.flags.writeable, name
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 12])
 def test_dft_matches_definition(d):
     rng = np.random.default_rng(d)
     c = rng.normal(size=d) + 1j * rng.normal(size=d)
-    assert np.abs(dft_sequence(c).values - dft_oracle(c)).max() < 1e-12
+    assert np.abs(dft_sequence(c) - dft_oracle(c)).max() < 1e-12
 
 
 def test_dft_preserves_norm():
     rng = np.random.default_rng(8)
     c = rng.normal(size=10) + 1j * rng.normal(size=10)
-    assert np.linalg.norm(dft_sequence(c).values) == pytest.approx(np.linalg.norm(c))
+    assert np.linalg.norm(dft_sequence(c)) == pytest.approx(np.linalg.norm(c))
 
 
 def test_dft_twice_reverses_indices():
     rng = np.random.default_rng(2)
     c = rng.normal(size=7) + 1j * rng.normal(size=7)
-    twice = dft_sequence(dft_sequence(c)).values
+    twice = dft_sequence(dft_sequence(c))
     reversed_c = np.concatenate(([c[0]], c[1:][::-1]))
     assert np.abs(twice - reversed_c).max() < 1e-12
 
@@ -160,7 +201,7 @@ def test_biunimodular_vanishing_autocorrelation():
 
 def test_gauss_sequence_values():
     d, k = 5, 2
-    g = gauss_sequence(d, k).values
+    g = gauss_sequence(d, k)
     expected = [cmath.exp(1j * cmath.pi * k * j * (j + 1) / d) for j in range(d)]
     assert np.abs(g - np.array(expected)).max() < 1e-14
     with pytest.raises(ValueError):
@@ -184,7 +225,7 @@ def test_biunimodular_report_fields():
     assert report.deviation == report.freq_deviation
     assert report.freq_moduli.shape == (9,)
     # tol=None is default_tolerance(d): 3e-9 at d = 9 admits moduli off by 1.5e-9
-    near = gauss_sequence(9, 1).values * (1 + 1.5e-9)
+    near = gauss_sequence(9, 1) * (1 + 1.5e-9)
     default, scaled = is_biunimodular(near), is_biunimodular(near, default_tolerance(9))
     assert (default.passed, default.deviation) == (scaled.passed, scaled.deviation)
     assert default.passed and not is_biunimodular(near, 1e-9).passed
@@ -202,7 +243,7 @@ def test_constant_sequence_fails_on_frequency_side():
 def test_exhaustive_search_dimension_two():
     hits = exhaustive_biunimodular(2, 4)
     assert len(hits) == 8
-    tuples = {tuple(np.round(h.values, 9)) for h in hits}
+    tuples = {tuple(np.round(h, 9)) for h in hits}
     assert (1 + 0j, 1j) in tuples
     assert (1 + 0j, -1j) in tuples
     for h in hits:
@@ -237,7 +278,7 @@ def test_exhaustive_search_matches_full_enumeration(d):
             hits = exhaustive_biunimodular(d, m, tol)
             assert len(hits) == len(expected), (d, m, tol)
             for hit, row in zip(hits, expected):
-                assert hit.values.tobytes() == row.tobytes(), (d, m, tol)
+                assert hit.tobytes() == row.tobytes(), (d, m, tol)
 
 
 def test_exhaustive_search_matches_the_gemm_loop_at_d6():
@@ -250,7 +291,7 @@ def test_exhaustive_search_matches_the_gemm_loop_at_d6():
             hits = exhaustive_biunimodular(d, m, tol)
             assert len(hits) == len(expected), (m, tol)
             for hit, row in zip(hits, expected):
-                assert hit.values.tobytes() == row.tobytes(), (m, tol)
+                assert hit.tobytes() == row.tobytes(), (m, tol)
 
 
 def test_exhaustive_search_temporaries_stay_under_4_mb():
@@ -300,7 +341,7 @@ def test_canonical_form_matches_the_per_shift_loop():
     cases = []
     for d in range(1, 7):
         for m in range(1, 13):
-            cases += [hit.values for hit in exhaustive_biunimodular(d, m)]
+            cases += exhaustive_biunimodular(d, m)
     rng = np.random.default_rng(47)
     for d in range(1, 9):
         cases += [random_unimodular(d, rng) for _ in range(40)]

@@ -39,6 +39,8 @@ COMMANDS = [
     ["gauss", "trace", "--d", "3..31"],
     ["gauss", "powersums", "--d", "3..31"],
     ["seq", "gauss", "--d", "3..41"],
+    # multipliers that are negative, share a factor with d, or reach past d
+    ["seq", "gauss", "--d", "9..15", "--k=-3..20"],
     # every head/tail shape of the split search: tails of 0, 1, 1, 2, 2, 3 and 3
     # digits, with heads of 0, 0, 1, 1, 2, 2 and 2 free digits
     ["search", "--d", "1", "--alphabet", "1"],
@@ -48,6 +50,8 @@ COMMANDS = [
     ["search", "--d", "5", "--alphabet", "10"],
     ["search", "--d", "6", "--alphabet", "7"],
     ["search", "--d", "6", "--alphabet", "12"],
+    # a --tol base other than the default, which the search kernel reads
+    ["search", "--d", "5", "--alphabet", "10", "--tol", "1e-3"],
     # a base that overflows once scaled by sqrt(d) (a usage error), and the
     # same base applied as it is by a scalar Gauss sum check
     ["verify", "--dims", "4", "--tol", "1e308"],
