@@ -16,7 +16,8 @@ that build records from those results.  A verify check builds the family and
 asks its recipe which claim the dimension class adds.  A record is a plain dict
 (check, case, passed, deviation, tolerance, detail, elapsed_s); _bounded
 holds the one pass rule, deviation <= tolerance, and passed is None on an
-informational record.  _run times each check in turn and sorts the records
+informational record (gauss identity probes each --l not coprime with d this
+way).  _run times each check in turn and sorts the records
 by (check, case), so reports are deterministic.  main() then puts the report
 together once, as one plain mub-report/1 dict (config, records, summary and,
 for build, the MubFamily itself), and the json, text and csv renderers write
@@ -194,19 +195,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="verify families and matrix identities")
     p.add_argument("--dims", required=True, help="dimension span, e.g. 2..30")
 
-    p = sub.add_parser("gauss", parents=[common], help="Gauss sum identities")
+    p = sub.add_parser("gauss", parents=[common], help="Gauss sum identities; identity probes a non-coprime --l")
     p.add_argument("mode", choices=("identity", "reciprocity", "even", "trace", "powersums"))
     p.add_argument("--d", dest="d_span", default=None, help="modulus/dimension span")
-    p.add_argument("--l", dest="l_span", default=None, help="multiplier span (identity mode)")
+    p.add_argument("--l", dest="l_span", default=None, help="multiplier span (identity mode; default the l coprime with d)")
     p.add_argument("--a", dest="a_span", default=None, help="leading coefficient span (reciprocity mode)")
     p.add_argument("--b", dest="b_span", default=None, help="linear coefficient span (reciprocity mode)")
     p.add_argument("--k", dest="k_span", default=None, help="power span (trace and powersums modes)")
     p.add_argument("--m", dest="m_span", default=None, help="offset span (powersums mode)")
-    p.add_argument(
-        "--allow-noncoprime",
-        action="store_true",
-        help="probe non-coprime multipliers informationally instead of rejecting them",
-    )
 
     p = sub.add_parser("seq", parents=[common], help="sequence-level checks")
     p.add_argument("mode", choices=("gauss",))
@@ -313,14 +309,11 @@ def _identity_check(d: int, multipliers: list[int], base_tol: float) -> list[dic
 
 
 def _reciprocity_check(a: int, d: int, b_span: range | None, base_tol: float) -> list[dict]:
-    b_range = b_span if b_span is not None else range(-2 * d, 2 * d + 1)
-    first = b_range.start + (a * d + b_range.start) % 2  # the least b with a*d + b even
-    b_values = range(first, b_range.stop, 2)
-    case, detail = {"a": a, "d": d}, f"{len(b_values)} parity-valid b values"
-    if not b_values:  # no triple was tested: nothing passed or failed
+    deviations = reciprocity_deviations(a, b_span if b_span is not None else range(-2 * d, 2 * d + 1), d)
+    case, detail = {"a": a, "d": d}, f"{deviations.size} parity-valid b values"
+    if not deviations.size:  # no triple was tested: nothing passed or failed
         return [_record("reciprocity-consistency", case, None, detail=detail)]
-    worst = float(reciprocity_deviations(a, b_values, d).max())
-    return [_bounded("reciprocity-consistency", case, worst, base_tol, detail)]
+    return [_bounded("reciprocity-consistency", case, float(deviations.max()), base_tol, detail)]
 
 
 def _even_check(d: int, base_tol: float) -> list[dict]:
@@ -439,11 +432,6 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
         if args.mode == "identity":
             for d in _odd_dims(dims, "identity mode"):
                 multipliers = list(l_span) if l_span is not None else _coprime(range(1, d), d)
-                for l in multipliers:
-                    if math.gcd(l, d) != 1 and not args.allow_noncoprime:
-                        raise UsageError(
-                            f"l={l} is not coprime with d={d}; pass --allow-noncoprime to probe it"
-                        )
                 checks.append(partial(_identity_check, d, multipliers, base_tol))
         elif args.mode == "reciprocity":
             a_span = a_span or range(1, 21)

@@ -151,11 +151,17 @@ def gauss_sum_reciprocity(spec: GaussSumSpec) -> complex:
 
 
 def reciprocity_deviations(a: int, bs: range, d: int) -> np.ndarray:
-    """|S(a, b, d) - one reciprocity step| for a >= 1 and each b in bs, all
-    with a*d + b even: the length-d sum against the length-a sum it is
-    traded for."""
+    """|S(a, b, d) - one reciprocity step| for each b of the step-1 range bs
+    with a*d + b even, the only b the identity covers: the length-d sum
+    against the length-a sum it is traded for.  a and d must lie in
+    1..MAX_MODULUS."""
+    _check_dimension(a, what="leading coefficient a")
+    _check_dimension(d, what="modulus d")
+    if bs.step != 1:
+        raise ValueError(f"bs must be a range of step 1, got step {bs.step}")
     n = 4 * a * d
-    b = (bs.start % n + np.arange(0, bs.step * len(bs), bs.step, dtype=np.int64)) % n
+    first = bs.start + (a * d + bs.start) % 2  # the least b with a*d + b even
+    b = (first % n + np.arange(0, bs.stop - first, 2, dtype=np.int64)) % n
     return np.abs(_direct(a, b, d) - _one_step(a, b, d))
 
 
@@ -183,7 +189,9 @@ def gauss_identity_sweep(d: int, l: int) -> np.ndarray:
 def triangular_trace_deviations(d: int, ks) -> np.ndarray:
     """| |tr(D**k)| - sqrt(d) | for the triangular diagonal
     D = diag(exp(i*pi*j*(j+1)/d)) and each int k in ks, as one batch of the
-    sums tr(D**k) = S(k, k, d); a k beyond int64 enters reduced mod 2d."""
+    sums tr(D**k) = S(k, k, d); a k beyond int64 enters reduced mod 2d.
+    d must be odd, as for build_triangular_diagonal."""
+    _check_dimension(d, 1, "odd", "triangular diagonal dimension")
     powers = np.array([k % (2 * d) for k in ks], dtype=np.int64)
     return np.abs(np.abs(_direct(powers, powers, d)) - math.sqrt(d))
 

@@ -105,10 +105,6 @@ class DiagonalUnitary:
     def to_dense(self) -> np.ndarray:
         return np.diag(self.values())
 
-    def power(self, n: int) -> "DiagonalUnitary":
-        m = 2 * int(self.dimension)
-        return DiagonalUnitary(self.dimension, n % m * self.exponents % m)
-
 
 def as_matrix(obj) -> np.ndarray:
     """Coerce any of the matrix types (or a raw array) to a dense ndarray."""

@@ -41,6 +41,7 @@ from circulant_mub.cli import (
     parse_span,
 )
 from circulant_mub.linalg import as_matrix, build_triangular_diagonal
+from circulant_mub.phase_ring import root_table
 
 
 def run_json(capsys, argv):
@@ -135,7 +136,7 @@ def sort_key(record: dict):
     [
         ["verify", "--dims", "61..97"],
         ["sweep", "--dims", "2..40"],
-        ["gauss", "identity", "--d", "3..15", "--l", "1400000000000000001", "--allow-noncoprime"],
+        ["gauss", "identity", "--d", "3..15", "--l", "1400000000000000001"],
         ["gauss", "reciprocity", "--a", "1..5", "--d", "1..12"],
         ["seq", "gauss", "--d", "3..15"],
         ["search", "--d", "4", "--alphabet", "6"],
@@ -230,7 +231,7 @@ def test_verify_claims_follow_the_dimension_class(capsys):
         ["verify", "--dims", "2..6"],
         ["sweep", "--dims", "2..9"],
         ["gauss", "identity", "--d", "3..15"],
-        ["gauss", "identity", "--d", "7..9", "--l", "1..4", "--allow-noncoprime"],
+        ["gauss", "identity", "--d", "7..9", "--l", "1..4"],
         ["gauss", "reciprocity", "--a", "1..3", "--d", "1..6"],
         ["gauss", "even", "--d", "2..12"],
         ["gauss", "trace", "--d", "3..15"],
@@ -278,17 +279,19 @@ def test_gauss_identity_huge_multiplier(capsys):
 
 
 def test_gauss_identity_noncoprime_multiplier(capsys):
-    assert main(["gauss", "identity", "--d", "9", "--l", "3"]) == EXIT_USAGE
-    capsys.readouterr()
-    code, doc = run_json(
-        capsys, ["gauss", "identity", "--d", "9", "--l", "3", "--allow-noncoprime"]
-    )
+    # a multiplier that shares a factor with d is measured, by the probe
+    code, doc = run_json(capsys, ["gauss", "identity", "--d", "9", "--l", "3"])
     assert code == EXIT_OK
-    record = doc["records"][0]
+    [record] = doc["records"]
     assert record["check"] == "gauss-identity-probe"
     assert record["passed"] is None
     assert "sqrt(d)" in record["detail"]
     assert doc["summary"]["informational"] == 1
+    # probing is not an option
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gauss", "identity", "--d", "9", "--l", "3", "--allow-noncoprime"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --allow-noncoprime" in capsys.readouterr().err
 
 
 def test_gauss_requires_modulus_span(capsys):
@@ -415,12 +418,13 @@ def test_powersums_check_matches_the_scalar_loop():
 
 def verify_triangular_trace(d, k):
     """| |trace(D**k)| - sqrt(d) | for the triangular diagonal D, odd d >= 3
-    and gcd(k, d) = 1: the oracle of cli._trace_check, through the diagonal's
-    own power instead of the Gauss-sum row kernel."""
+    and gcd(k, d) = 1: the oracle of cli._trace_check, which gathers the
+    exponents k*t mod 2d of D**k, computed here as Python ints from D's own
+    exponents t (k beyond int64 included), instead of the Gauss-sum row kernel."""
     if d % 2 == 0 or d < 3 or math.gcd(k, d) != 1:
         raise ValueError(f"need odd d >= 3 coprime with k, got d={d} k={k}")
-    diag = build_triangular_diagonal(d).power(k)
-    return float(abs(abs(diag.values().sum()) - math.sqrt(d)))
+    exponents = [k * t % (2 * d) for t in build_triangular_diagonal(d).exponents.tolist()]
+    return float(abs(abs(root_table(d)[exponents].sum()) - math.sqrt(d)))
 
 
 def test_trace_check_matches_the_scalar_loop():
@@ -780,7 +784,6 @@ def test_check_arguments_are_usage_errors_found_before_the_output_is_opened(tmp_
         ["seq", "gauss", "--d", "3", "--k", "1..100000000000"],
         ["gauss", "trace", "--d", "3", "--k", "1..100000000000"],
         ["gauss", "identity", "--d", "3", "--l", "1..100000000000"],
-        ["gauss", "identity", "--d", "3", "--l", "1..100000000000", "--allow-noncoprime"],
         ["gauss", "reciprocity", "--a", "1", "--d", "3", "--b", "0..100000000000"],
         ["gauss", "reciprocity", "--a", "1", "--d", "3", "--b", "0..1000000"],
         # --d and --a spans of more than 10**6 values, and reciprocity plans of
@@ -802,7 +805,7 @@ def test_check_arguments_are_usage_errors_found_before_the_output_is_opened(tmp_
     # running a check that long would allocate gigabytes, so only _plan is called
     for argv in (
         ["seq", "gauss", "--d", "3", "--k", "1..1000000"],
-        ["gauss", "identity", "--d", "3", "--l", "1..1000000", "--allow-noncoprime"],
+        ["gauss", "identity", "--d", "3", "--l", "1..1000000"],
         ["gauss", "reciprocity", "--a", "1", "--d", "3", "--b=-1000000..-1"],
         ["seq", "gauss", "--d", "999999999", "--k", "1"],
         ["gauss", "identity", "--d", "999999999", "--l", "1"],
@@ -890,9 +893,9 @@ def test_readme_names_every_option_and_no_removed_one():
         for action in p._actions
         for option in action.option_strings
     }
-    assert {"--tol", "--version", "--allow-noncoprime"} <= options
+    assert {"--tol", "--version"} <= options
     assert [o for o in sorted(options) if not re.search(re.escape(o) + r"(?![\w-])", readme)] == []
-    for removed in ("--dense-cap", "--parallelism", "MUB_DEFAULT_TOL"):
+    for removed in ("--dense-cap", "--parallelism", "MUB_DEFAULT_TOL", "--allow-noncoprime"):
         assert removed not in readme
 
 

@@ -14,7 +14,7 @@ from circulant_mub import (
     smallest_nontrivial_divisor,
     verify_even_gauss,
 )
-from circulant_mub.gauss import power_sum_deviations, shift_sums
+from circulant_mub.gauss import power_sum_deviations, reciprocity_deviations, shift_sums, triangular_trace_deviations
 from circulant_mub.linalg import default_tolerance
 from circulant_mub.mub import coprime_power_mismatches
 from test_cli import verify_triangular_trace
@@ -106,6 +106,31 @@ def test_reciprocity_hypotheses_enforced():
         gauss_sum_reciprocity(GaussSumSpec(1, 0, 5))  # a*d + b odd
 
 
+def test_reciprocity_deviations_measure_only_where_the_identity_holds():
+    # of a step-1 b range, exactly the b with a*d + b even are measured
+    for a, bs, d in [(1, range(-10, 11), 5), (2, range(-3, 4), 7), (3, range(-5, 6), 4), (3, range(5, 6), 4)]:
+        valid = [b for b in bs if (a * d + b) % 2 == 0]
+        deviations = reciprocity_deviations(a, bs, d)
+        assert deviations.shape == (len(valid),), (a, bs, d)
+        for deviation, b in zip(deviations, valid):
+            spec = GaussSumSpec(a, b, d)
+            assert deviation == pytest.approx(abs(gauss_sum_direct(spec) - gauss_sum_reciprocity(spec)), abs=1e-13)
+        assert deviations.max(initial=0.0) < 1e-12
+    # a and d outside 1..MAX_MODULUS, and any other step, are refused
+    refused = [
+        (0, range(3), 5),
+        (-1, range(3), 5),
+        (1, range(3), 0),
+        (1, range(3), 10**9 + 1),
+        (10**9 + 1, range(3), 1),
+        (1, range(-10, 11, 2), 5),
+        (1, range(3, 0, -1), 5),
+    ]
+    for a, bs, d in refused:
+        with pytest.raises(ValueError):
+            reciprocity_deviations(a, bs, d)
+
+
 def identity_oracle(d, l, j):
     # | |sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k))| - sqrt(d) | term by term
     total = sum(
@@ -162,6 +187,13 @@ def test_triangular_trace_identity():
     assert verify_triangular_trace(d, k) == pytest.approx(abs(abs(trace) - 3.0), abs=1e-13)
     with pytest.raises(ValueError):
         verify_triangular_trace(9, 3)
+
+
+def test_triangular_trace_deviations_refuse_what_the_diagonal_refuses():
+    assert triangular_trace_deviations(1, [1]).tolist() == [0.0]
+    for d in (0, -3, 4, 10**9 + 1):
+        with pytest.raises(ValueError, match="triangular diagonal dimension"):
+            triangular_trace_deviations(d, [1])
 
 
 def test_even_dimension_identity():

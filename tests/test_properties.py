@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from circulant_mub import (
     GaussSumSpec,
     build_rotation,
-    build_triangular_diagonal,
     circulant_power,
     gauss_sum_direct,
     gauss_sum_reciprocity,
@@ -69,16 +68,6 @@ def test_scalar_phase_near_the_modulus_does_not_overflow(d, offset, l):
     assert triangular_phase(j, l, d) == expected
     assert triangular_phase(np.array([j], dtype=np.int64), l, d)[0] == expected
     assert triangular_phase(np.int64(j), l, d) == expected
-
-
-@PROPERTY
-@given(half=st.integers(1, 100), n=st.integers(-HUGE, HUGE))
-def test_diagonal_power_depends_on_n_mod_2d(half, n):
-    d = 2 * half + 1
-    diag = build_triangular_diagonal(d)
-    huge, reduced = diag.power(n), diag.power(n % (2 * d))
-    assert np.array_equal(huge.exponents, reduced.exponents)
-    assert np.array_equal(huge.values(), reduced.values())
 
 
 def parity_valid(a, b, d):

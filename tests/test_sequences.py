@@ -141,7 +141,6 @@ def test_callers_arrays_stay_writable_and_built_arrays_are_read_only():
         "build_clock": build_clock(5).exponents,
         "build_triangular_diagonal": build_triangular_diagonal(5).exponents,
         "build_square_diagonal": build_square_diagonal(4).exponents,
-        "DiagonalUnitary.power": build_clock(5).power(2).exponents,
     }
     built.update((f"exhaustive_biunimodular[{i}]", hit) for i, hit in enumerate(exhaustive_biunimodular(3, 3)))
     for name, array in built.items():

@@ -33,7 +33,9 @@ COMMANDS = [
     ["verify", "--dims", "5", "--tol", "1e-30"],
     ["verify", "--dims", "9..15", "--tol", "1e-3"],
     ["gauss", "identity", "--d", "3..41"],
-    ["gauss", "identity", "--d", "7..9", "--l", "1..4", "--allow-noncoprime"],
+    # multipliers coprime with d (the identity) and not (the informational probe)
+    ["gauss", "identity", "--d", "7..9", "--l", "1..4"],
+    ["gauss", "identity", "--d", "9", "--l", "3"],
     ["gauss", "reciprocity", "--a", "1..20", "--d", "1..50"],
     ["gauss", "even", "--d", "2..40"],
     ["gauss", "trace", "--d", "3..31"],
