@@ -25,8 +25,8 @@ that dict straight into the --output file or stdout, which is opened before
 any check runs.  json and text scale each member only as they write it
 (scale * entries), csv writes the member's own entries.  The json writer
 emits the bytes of json.dump(doc, indent=2) one top-level key, record and
-family member at a time, fills each record into one template of its encoded
-keys, and formats each distinct matrix entry once.
+matrix row at a time, fills each record into one template of its encoded keys,
+and formats a circulant member from its first column.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 (a bad argument or an --output path that cannot be opened), 3 internal error
 (an unexpected exception, reported with its traceback on stderr).
@@ -69,7 +69,7 @@ from .gauss import (
     triangular_trace_deviations,
     verify_even_gauss,
 )
-from .linalg import DEFAULT_TOL_BASE, as_matrix, default_tolerance
+from .linalg import DEFAULT_TOL_BASE, CirculantMatrix, as_matrix, default_tolerance
 from .mub import (
     MubFamily,
     Recipe,
@@ -263,14 +263,15 @@ def _verify_check(d: int, tol: float) -> list[dict]:
 
 
 def _matrix_payload(label: str, matrix, d: int) -> dict:
-    entries = as_matrix(matrix)
-    moduli = np.abs(entries)
+    circulant = isinstance(matrix, CirculantMatrix)  # kept as its first column, which holds every entry
+    entries = matrix.first_column if circulant else as_matrix(matrix)
     hadamard_scale = 1.0 / math.sqrt(d)
-    if np.abs(moduli - hadamard_scale).max() <= default_tolerance(d, 1e-12):
+    if np.abs(np.abs(entries) - hadamard_scale).max() <= default_tolerance(d, 1e-12):
         scale = hadamard_scale
     else:
         scale = 1.0
-    return {"label": label, "scale": scale, "entries": entries / scale}
+    entries = entries / scale
+    return {"label": label, "scale": scale, "entries": CirculantMatrix(d, entries) if circulant else entries}
 
 
 def _family_payload(family: MubFamily) -> dict:
@@ -494,7 +495,7 @@ def _render_text(doc: dict) -> str:
         lines.append(f"family: d={fam['dimension']} recipe={fam['recipe']} bases={len(doc['family'].bases)}")
         for basis in fam["bases"]:
             lines.append(f"  {basis['label']} (scale {basis['scale']:.9g}):")
-            body = np.array2string(basis["entries"], precision=6, suppress_small=True, max_line_width=120)
+            body = np.array2string(as_matrix(basis["entries"]), precision=6, suppress_small=True, max_line_width=120)
             lines.extend("    " + line for line in body.splitlines())
     if doc["records"]:
         lines.append(f"{'status':6} {'check':38} {'case':24} {'deviation':>12} {'tolerance':>12}")
@@ -523,7 +524,7 @@ def _render_csv(doc: dict, handle) -> None:
         d = doc["family"].dimension
         positions = np.array([f"{i},{j}," for i in range(d) for j in range(d)], dtype=object)
         for label, basis in doc["family"].bases:
-            cells = _entry_texts(as_matrix(basis), lambda re, im: f"{re!r},{im!r}")
+            cells = _entry_texts(basis, lambda re, im: f"{re!r},{im!r}")
             rows = (positions + cells.ravel()).tolist()
             handle.write(f"{label}," + f"\r\n{label},".join(rows) + "\r\n")
     else:
@@ -545,15 +546,19 @@ def _render_csv(doc: dict, handle) -> None:
 _INDENT = "  "
 
 
-def _entry_texts(entries: np.ndarray, cell) -> np.ndarray:
+def _entry_texts(matrix, cell) -> np.ndarray:
     """cell(re, im) for every entry of a complex matrix, as an object array of
-    the matrix's shape.  cell runs once per distinct (re, im) bit pattern:
-    comparing bits, not values, keeps -0.0 apart from 0.0 and NaN payloads
-    apart.  The patterns are found by 1-D integer uniques, which sort far
-    faster than a row unique of the (n, 2) bits: the distinct real and
-    imaginary bits each get an index, each entry gets the code
-    re_index * len(im_bits) + im_index (below n**2, so it cannot overflow),
-    and the distinct codes are the distinct patterns."""
+    its shape.  cell runs once per distinct (re, im) bit pattern: comparing
+    bits, not values, keeps -0.0 apart from 0.0 and NaN payloads apart.  A
+    circulant gathers the texts of its first column c as C[i, j] = c[(i - j)
+    mod d].  The patterns are found by 1-D integer uniques, faster than a row
+    unique of the (n, 2) bits: the distinct real and imaginary bits each get
+    an index, each entry gets the code re_index * len(im_bits) + im_index
+    (below n**2, so it cannot overflow), and the distinct codes are the
+    distinct patterns."""
+    if isinstance(matrix, CirculantMatrix):
+        return CirculantMatrix(matrix.dimension, _entry_texts(matrix.first_column, cell)).to_dense()
+    entries = as_matrix(matrix)
     bits = np.ascontiguousarray(entries, dtype=np.complex128).view(np.uint64).reshape(-1, 2)
     re_bits, re_index = np.unique(bits[:, 0], return_inverse=True)
     im_bits, im_index = np.unique(bits[:, 1], return_inverse=True)
@@ -564,10 +569,16 @@ def _entry_texts(entries: np.ndarray, cell) -> np.ndarray:
     return texts[inverse.reshape(entries.shape)]
 
 
+def _matrix_rows(matrix, level: int) -> list[str]:
+    row, cell = "\n" + _INDENT * (level + 2), "\n" + _INDENT * (level + 3)
+    grid = _entry_texts(matrix, lambda re, im: f"[{cell}{_json_text(re)},{cell}{_json_text(im)}{row}]")
+    return [f"[{row}" + f",{row}".join(cells) + f"\n{_INDENT * (level + 1)}]" for cells in grid.tolist()]
+
+
 def _json_text(value, level: int = 0) -> str:
     """value as json.dump(value, indent=2) writes it at nesting depth level; a
-    complex matrix (2-D, non-empty) is written as rows of [re, im] pairs.  The
-    records of a report skip this walk: _item_text fills each one into its
+    complex matrix (2-D, non-empty) is written by _matrix_rows, one text a row.
+    The records of a report skip this walk: _item_text fills each one into its
     template, and renders only the case and other values here."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -580,10 +591,8 @@ def _json_text(value, level: int = 0) -> str:
             return float.__repr__(value)
         return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
     inner = "\n" + _INDENT * (level + 1)
-    if isinstance(value, np.ndarray):
-        row, cell = "\n" + _INDENT * (level + 2), "\n" + _INDENT * (level + 3)
-        grid = _entry_texts(value, lambda re, im: f"[{cell}{_json_text(re)},{cell}{_json_text(im)}{row}]")
-        items, brackets = [f"[{row}" + f",{row}".join(cells) + f"{inner}]" for cells in grid.tolist()], "[]"
+    if isinstance(value, (np.ndarray, CirculantMatrix)):
+        items, brackets = _matrix_rows(value, level), "[]"
     elif isinstance(value, dict):
         items = [encode_basestring_ascii(k) + ": " + _json_text(v, level + 1) for k, v in value.items()]
         brackets = "{}"
@@ -647,9 +656,9 @@ def _item_text(level: int):
 
 def _write_json(value, write, level: int = 0) -> None:
     """Write _json_text(value, level) without ever holding it as one string:
-    a dict one key at a time, a list or generator one whole item at a time
-    (a record through _item_text's template, its float texts reused while
-    they repeat), and a MubFamily as its _family_payload."""
+    a dict one key at a time, a list one whole item at a time (a record
+    through _item_text's template, its float texts reused while they repeat),
+    a generator one item and a matrix one row at a time, and a MubFamily as its payload."""
     if isinstance(value, MubFamily):
         value = _family_payload(value)
     inner = "\n" + _INDENT * (level + 1)
@@ -660,10 +669,16 @@ def _write_json(value, write, level: int = 0) -> None:
             _write_json(item, write, level + 1)
             separator = "," + inner
         write("\n" + _INDENT * level + "}")
-    elif isinstance(value, (list, tuple, GeneratorType)) and value:
-        separator, text = "[" + inner, _item_text(level + 1)
-        for item in value:
-            write(separator + text(item))
+    elif isinstance(value, GeneratorType):  # the family's members, each scaled as it is reached
+        for index, item in enumerate(value):
+            write(("," if index else "[") + inner)
+            _write_json(item, write, level + 1)
+        write("\n" + _INDENT * level + "]")
+    elif isinstance(value, CirculantMatrix) or isinstance(value, (list, tuple, np.ndarray)) and len(value):
+        texts = map(_item_text(level + 1), value) if isinstance(value, (list, tuple)) else _matrix_rows(value, level)
+        separator = "[" + inner
+        for text in texts:
+            write(separator + text)
             separator = "," + inner
         write("\n" + _INDENT * level + "]")
     else:

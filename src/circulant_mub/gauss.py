@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_ring import _check_dimension, root_table
+from .phase_ring import _check_dimension, _check_integers, root_table
 
 _BLOCK = 1 << 16  # exponents gathered at once by a batched _direct
 
@@ -72,9 +72,7 @@ class GaussSumSpec:
     d: int
 
     def __post_init__(self) -> None:
-        for name in ("a", "b"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+        _check_integers("coefficient a or b", self.a, self.b)
         _check_dimension(self.d, what="modulus d")
 
 
@@ -173,6 +171,7 @@ def shift_sums(d: int, l: int) -> np.ndarray:
     """sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k)) = S(l, l + 2j, d) for every
     shift j = 0 .. d-1."""
     _check_dimension(d)
+    _check_integers("multiplier l", l)
     a = l % (2 * d)
     return _direct(a, (a + 2 * np.arange(d, dtype=np.int64)) % (2 * d), d)
 
@@ -181,6 +180,7 @@ def gauss_identity_sweep(d: int, l: int) -> np.ndarray:
     """Deviations | |sum_k exp((2*i*pi/d)(l*k*(k+1)/2 + j*k))| - sqrt(d) |
     for every j = 0 .. d-1 at once.  Requires odd d and gcd(l, d) = 1."""
     _check_dimension(d, 3, "odd", "Gauss identity modulus")
+    _check_integers("multiplier l", l)
     if math.gcd(l, d) != 1:
         raise ValueError(f"l={l} must be coprime with d={d}")
     return np.abs(np.abs(shift_sums(d, l)) - math.sqrt(d))
@@ -192,6 +192,7 @@ def triangular_trace_deviations(d: int, ks) -> np.ndarray:
     sums tr(D**k) = S(k, k, d); a k beyond int64 enters reduced mod 2d.
     d must be odd, as for build_triangular_diagonal."""
     _check_dimension(d, 1, "odd", "triangular diagonal dimension")
+    _check_integers("power k", *ks)
     powers = np.array([k % (2 * d) for k in ks], dtype=np.int64)
     return np.abs(np.abs(_direct(powers, powers, d)) - math.sqrt(d))
 
@@ -213,6 +214,7 @@ def power_sum_deviations(d: int, ks: list[int], ms: list[int]) -> tuple[np.ndarr
     _check_dimension(d, 3, "odd", "power sum modulus")  # before the trial division of is_prime
     if not is_prime(d):
         raise ValueError(f"need an odd prime dimension, got {d}")
+    _check_integers("each power k and offset m", *ks, *ms)
     for k in ks:
         if not 1 <= k <= d - 1:
             raise ValueError(f"need 1 <= k <= d-1, got k={k}")
@@ -223,4 +225,4 @@ def power_sum_deviations(d: int, ks: list[int], ms: list[int]) -> tuple[np.ndarr
     b = k_col + 2 * np.array(ms, dtype=np.int64)
     dev_d = np.abs(np.abs(_direct(k_col, b, d)) - math.sqrt(d))
     dev_k = np.array([np.abs(np.abs(_direct(-d, -b_row, k)) - math.sqrt(k)) for k, b_row in zip(ks, b)])
-    return dev_d, dev_k
+    return dev_d, dev_k.reshape(dev_d.shape)  # (0, len(ms)) too when ks is empty

@@ -34,6 +34,13 @@ def _check_dimension(d: int, least: int = 1, parity: str | None = None, what: st
         raise ValueError(f"{what} must be an {kind}, got {d!r}")
 
 
+def _check_integers(what: str, *values) -> None:
+    """Refuse any value that is not an int or a numpy integer; what names them."""
+    for value in values:
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @lru_cache(maxsize=None)
 def root_table(d: int) -> np.ndarray:
     """Read-only array of all 2d values exp(i*pi*t/d), t = 0 .. 2d-1,
@@ -70,6 +77,7 @@ def triangular_phase(j, l: int, d: int):
     is exp(i*pi * l*j*(j+1) / d), an integer point on the 2d-grid.
     """
     _check_dimension(d)
+    _check_integers("multiplier l", l)
     m = 2 * int(d)
     j = j % m
     return j * (j + 1) % m * (l % m) % m

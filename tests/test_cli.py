@@ -40,7 +40,7 @@ from circulant_mub.cli import (
     main,
     parse_span,
 )
-from circulant_mub.linalg import as_matrix, build_triangular_diagonal
+from circulant_mub.linalg import CirculantMatrix, as_matrix, build_triangular_diagonal
 from circulant_mub.phase_ring import root_table
 
 
@@ -564,11 +564,13 @@ def report_doc(monkeypatch, argv):
 
 
 def json_dump_default(obj):
-    """The json.dump hook the streaming writer replaced: the oracle's half."""
+    """The json.dump hook the streaming writer replaced: the oracle's half.
+    Each member goes through the dense path of _matrix_payload, never through
+    the first-column path the writer takes for a circulant."""
     if isinstance(obj, mub.MubFamily):
-        return cli._family_payload(obj)
-    if isinstance(obj, types.GeneratorType):  # the members, scaled as they are written
-        return list(obj)
+        d = obj.dimension
+        bases = [cli._matrix_payload(label, as_matrix(basis), d) for label, basis in obj.bases]
+        return {"dimension": d, "recipe": obj.recipe.value, "bases": bases}
     if isinstance(obj, np.ndarray):
         return np.stack([obj.real, obj.imag], axis=-1).tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -597,15 +599,20 @@ def test_json_writer_matches_json_dump(monkeypatch, argv):
     assert written.getvalue() == expected.getvalue()
 
 
-def test_json_writer_streams_one_member_or_record_at_a_time(monkeypatch):
-    for argv, parts in ((["build", "--dim", "13"], 10), (["verify", "--dims", "2..8"], 50)):
+def test_json_writer_streams_one_matrix_row_or_record_at_a_time(monkeypatch):
+    # a member's entries sit at depth 4 (report, family, bases, member), so a
+    # row opens at depth 5 with its first [re, im] cell at depth 6
+    row_start = "[\n" + " " * 12 + "[\n" + " " * 14
+    for argv, rows in ((["build", "--dim", "13"], 14 * 13), (["verify", "--dims", "2..8"], 0)):
         doc = report_doc(monkeypatch, argv + ["--format", "json"])
         chunks = []
         cli._write_json(doc, chunks.append)
-        text = "".join(chunks)
-        assert text == json.dumps(doc, indent=2, default=json_dump_default)
-        # no write holds more than one family member or one record
-        assert max(map(len, chunks)) < len(text) / parts
+        assert "".join(chunks) == json.dumps(doc, indent=2, default=json_dump_default)
+        # no write holds more than one matrix row or one record
+        assert max(chunk.count(row_start) for chunk in chunks) <= 1
+        assert max(chunk.count('"check": ') for chunk in chunks) <= 1
+        assert sum(chunk.count(row_start) for chunk in chunks) == rows
+        assert sum(chunk.count('"check": ') for chunk in chunks) == len(doc["records"])
 
 
 def test_record_keys_are_the_json_template_keys():
@@ -649,6 +656,24 @@ def _bits(re: float, im: float) -> bytes:
 
 # a quiet NaN with a payload other than numpy's own
 _OTHER_NAN = float(np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0])
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        *(pytest.param(build_family(d).bases, id=f"family-{d}") for d in (2, 7, 9, 61)),
+        pytest.param(
+            [("hand-made", CirculantMatrix(6, np.array([0.0, -0.0, np.nan, _OTHER_NAN, np.inf, -np.inf])))],
+            id="signed-zeros-nan-payloads-infinities",
+        ),
+    ],
+)
+def test_entry_texts_of_a_circulant_match_its_dense_entries(members):
+    # a circulant's grid comes from its first column alone, any other
+    # member's from all its entries; both must equal the dense grid bit for bit
+    for label, member in members:
+        dense = cli._entry_texts(as_matrix(member), _bits)
+        assert cli._entry_texts(member, _bits).tolist() == dense.tolist(), label
 
 
 @pytest.mark.parametrize(

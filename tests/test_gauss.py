@@ -17,6 +17,7 @@ from circulant_mub import (
 from circulant_mub.gauss import power_sum_deviations, reciprocity_deviations, shift_sums, triangular_trace_deviations
 from circulant_mub.linalg import default_tolerance
 from circulant_mub.mub import coprime_power_mismatches
+from circulant_mub.sequences import gauss_sequence
 from test_cli import verify_triangular_trace
 
 
@@ -50,6 +51,25 @@ def test_spec_validation():
         GaussSumSpec(1, 0, 0)
     with pytest.raises(ValueError):
         GaussSumSpec(1.5, 0, 3)
+
+
+def test_non_integer_multipliers_are_refused():
+    # a float k or l used to be truncated (1.5 % 6 cast to int64 is 1) or to
+    # fail with IndexError or TypeError; np.integer values stay accepted
+    for call in (
+        lambda k: triangular_trace_deviations(3, [1, k]),
+        lambda k: gauss_sequence(5, k),
+        lambda k: shift_sums(5, k),
+        lambda k: gauss_identity_sweep(5, k),
+        lambda k: power_sum_deviations(7, [k], [0]),
+        lambda k: power_sum_deviations(7, [1], [0, k]),
+        lambda k: GaussSumSpec(1, k, 3),
+    ):
+        for bad in (1.5, 2.0, np.float64(2.0), "2", None):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call(bad)
+        call(2)
+        call(np.int32(2))
 
 
 def test_direct_sum_matches_oracle():
@@ -211,6 +231,10 @@ def test_rotation_power_sums():
                 assert dev_d.shape == dev_k.shape == (1, 1)
                 assert dev_d[0, 0] < 1e-11, (d, k, m)
                 assert dev_k[0, 0] < 1e-11, (d, k, m)
+    # both are (k, m) arrays on empty spans too
+    for ks, ms in (([], [0]), ([1, 2], []), ([], [])):
+        dev_d, dev_k = power_sum_deviations(5, ks, ms)
+        assert dev_d.shape == dev_k.shape == (len(ks), len(ms)), (ks, ms)
 
 
 def test_rotation_power_sums_validation():
