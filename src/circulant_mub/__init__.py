@@ -66,7 +66,6 @@ _EXPORTS = {
     "mub": (
         "EvenSquareCheck",
         "MubFamily",
-        "PairCheck",
         "Recipe",
         "UnbiasednessReport",
         "build_family",

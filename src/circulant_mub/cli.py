@@ -234,9 +234,9 @@ def _family_records(d: int, tol: float, payload: dict) -> list[dict]:
         expected = smallest_nontrivial_divisor(d) + 1
     detail = f"recipe={family.recipe.value} bases={len(family.bases)} expected={expected}"
     records = [_record("family-size", {"d": d}, len(family.bases) == expected, detail=detail)]
-    for pair in verify_family(family, tol).pairs:
-        case = {"d": d, "pair": f"{pair.label_a}|{pair.label_b}"}
-        records.append(_bounded("pair-unbiased", case, pair.deviation, tol))
+    report = verify_family(family, tol)
+    for (label_a, label_b), deviation in zip(report.pairs, report.deviations.tolist()):
+        records.append(_bounded("pair-unbiased", {"d": d, "pair": f"{label_a}|{label_b}"}, deviation, tol))
     return records
 
 

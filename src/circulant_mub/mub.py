@@ -26,7 +26,8 @@ measured once: such a record measures C's spectrum, not the floating-point
 product F* C, and the fourier-diagonalizes-shift identity of
 structural_identities is what ties F to the DFT.  A shipped family thus
 needs no dense product; any other pair with a dense member is multiplied
-densely and checked by is_unitary_hadamard itself.
+densely and checked by is_unitary_hadamard itself.  The report holds the
+pairs' labels and one read-only array of their deviations, in family order.
 
 structural_identities measures the matrix identities the construction rests
 on, coprime_power_mismatches the rule that R**k is unitary Hadamard exactly
@@ -85,22 +86,15 @@ class MubFamily:
     recipe: Recipe
 
 
-@dataclass(frozen=True)
-class PairCheck:
-    label_a: str
-    label_b: str
-    deviation: float
-    passed: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnbiasednessReport:
-    pairs: tuple[PairCheck, ...]
+    pairs: tuple[tuple[str, str], ...]
+    deviations: np.ndarray
     passed: bool
 
     @property
     def worst(self) -> float:
-        return max(p.deviation for p in self.pairs)
+        return float(self.deviations.max(initial=0.0))
 
 
 def build_family(d: int) -> MubFamily:
@@ -138,6 +132,10 @@ def build_family(d: int) -> MubFamily:
 def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessReport:
     """Measure unbiasedness of every pair of bases in the family.
 
+    The report's pairs hold the (label_a, label_b) of every unordered pair in
+    family order, (I, F), (I, R), ..., and its read-only float64 deviations
+    one deviation per pair; it passed when every deviation is within tol.
+
     For each unordered pair (A, B) the deviation is is_unitary_hadamard's on
     A* B: the worse of max |Gram - I| and max ||entry| - d**-0.5|.  Two
     circulants: from first columns and spectra, one row of pairs at a time.
@@ -157,7 +155,7 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
     members = [basis for _, basis in family.bases]
     spectra = [diagonalize_circulant(b) if isinstance(b, CirculantMatrix) else None for b in members]
     own = [is_unitary_hadamard(b, tol).deviation if isinstance(b, FourierMatrix) else None for b in members]
-    pairs = []
+    pairs, values = [], []
     for i, (label_a, a) in enumerate(family.bases):
         later = range(i + 1, len(members))
         deviations = {}
@@ -182,9 +180,11 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
             a_adj = adjoint(a)  # once per row, and never for a row the spectra cover
             for j in dense:
                 deviations[j] = is_unitary_hadamard(multiply(a_adj, members[j]), tol).deviation
-        for j in later:
-            pairs.append(PairCheck(label_a, family.bases[j][0], deviations[j], deviations[j] <= tol))
-    return UnbiasednessReport(pairs=tuple(pairs), passed=all(p.passed for p in pairs))
+        pairs.extend((label_a, family.bases[j][0]) for j in later)
+        values.extend(deviations[j] for j in later)
+    values = np.array(values, dtype=np.float64)
+    values.setflags(write=False)
+    return UnbiasednessReport(pairs=tuple(pairs), deviations=values, passed=bool((values <= tol).all()))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,22 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def assert_same_text(written: str, expected: str, context: int = 60) -> None:
+    """written == expected, failing fast: pytest's own diff of two whole
+    reports (23 MB for build --dim 61) runs for minutes, so a mismatch is
+    reported by the lengths and the first differing offset, with a short
+    window of context, and the whole texts never reach an assert."""
+    if written == expected:
+        return
+    offset = next((i for i, (a, b) in enumerate(zip(written, expected)) if a != b), None)
+    offset = min(len(written), len(expected)) if offset is None else offset
+    window = slice(max(offset - context, 0), offset + context)
+    message = f"first difference at offset {offset}: written {written[window]!r}, expected {expected[window]!r}"
+    lengths = len(written), len(expected)
+    assert lengths[0] == lengths[1], message
+    pytest.fail(message)
+
+
 def strip_timing(doc):
     doc = dict(doc)
     doc.pop("elapsed_s", None)
@@ -551,7 +567,7 @@ def test_output_file(tmp_path, capsys, monkeypatch):
                 written = written.replace(f" output={target}", "")
             else:  # csv rows end in \r\n, in the file as on stdout
                 assert written.count("\r\n") == len(written.splitlines()) > 1
-            assert written == stdout
+            assert_same_text(written, stdout)
 
 
 def report_doc(monkeypatch, argv):
@@ -596,7 +612,7 @@ def test_json_writer_matches_json_dump(monkeypatch, argv):
     expected.write("\n")
     written = io.StringIO()
     cli._emit(doc, written)
-    assert written.getvalue() == expected.getvalue()
+    assert_same_text(written.getvalue(), expected.getvalue())
 
 
 def test_json_writer_streams_one_matrix_row_or_record_at_a_time(monkeypatch):
@@ -607,7 +623,7 @@ def test_json_writer_streams_one_matrix_row_or_record_at_a_time(monkeypatch):
         doc = report_doc(monkeypatch, argv + ["--format", "json"])
         chunks = []
         cli._write_json(doc, chunks.append)
-        assert "".join(chunks) == json.dumps(doc, indent=2, default=json_dump_default)
+        assert_same_text("".join(chunks), json.dumps(doc, indent=2, default=json_dump_default))
         # no write holds more than one matrix row or one record
         assert max(chunk.count(row_start) for chunk in chunks) <= 1
         assert max(chunk.count('"check": ') for chunk in chunks) <= 1
@@ -647,7 +663,7 @@ def test_family_csv_matches_the_csv_writer_loop(monkeypatch, dim):
                 writer.writerow([label, i, j, *cell])
     written = io.StringIO()
     cli._emit(doc, written)
-    assert written.getvalue() == expected.getvalue()
+    assert_same_text(written.getvalue(), expected.getvalue())
 
 
 def _bits(re: float, im: float) -> bytes:
@@ -974,6 +990,18 @@ def test_cli_imports_only_public_library_names_and_traced_layers_resolve(monkeyp
         for attribute in path:
             target = getattr(target, attribute, None)
         assert callable(target), name
+
+
+def test_traced_pair_count_is_one_per_pair(monkeypatch):
+    # perfbench/tracer.py books mub.pairs as len(report.pairs) of each
+    # verify_family call, so renaming that field would zero the count
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    family = build_family(7)
+    report = mub.verify_family(family)
+    counters = {"mub.pairs": 0}
+    tracer._count_pairs(counters, (family,), report)
+    assert counters["mub.pairs"] == math.comb(8, 2) == len(report.deviations)
 
 
 def test_report_snapshot_writes_code_stderr_and_stdout_per_format(tmp_path):

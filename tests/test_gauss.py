@@ -6,6 +6,11 @@ import pytest
 
 from circulant_mub import (
     GaussSumSpec,
+    MubFamily,
+    Recipe,
+    build_family,
+    build_rotation,
+    circulant_power,
     gauss_identity_sweep,
     gauss_sum_direct,
     gauss_sum_reciprocity,
@@ -13,6 +18,7 @@ from circulant_mub import (
     root_table,
     smallest_nontrivial_divisor,
     verify_even_gauss,
+    verify_family,
 )
 from circulant_mub.gauss import power_sum_deviations, reciprocity_deviations, shift_sums, triangular_trace_deviations
 from circulant_mub.linalg import default_tolerance
@@ -322,3 +328,20 @@ def test_exact_certificates_at_composite_d_certify_exactly_the_coprime_powers(d)
     near = np.array([np.abs(np.abs(shift_sums(d, k)) - math.sqrt(d)) <= 1e-9 for k in ks])
     assert (near == certified).all()
     assert coprime_power_mismatches(d, default_tolerance(d)) == []
+
+
+@pytest.mark.parametrize("d", [9, 15, 21, 25])
+def test_exact_certificates_predict_every_power_pair_verdict(d):
+    # R**j* R**k = R**(k - j), so the pair R^j|R^k is unbiased exactly when
+    # R**(k - j) is certified, and I|R^k exactly when R**k is
+    rotation = build_rotation(d)
+    powers = [(f"R^{k}", circulant_power(rotation, k)) for k in range(1, d)]
+    family = MubFamily(d, (*build_family(d).bases[:2], *powers), Recipe.ODD_COMPOSITE)
+    report = verify_family(family)
+    verdict = dict(zip(report.pairs, (report.deviations <= default_tolerance(d)).tolist()))
+    certified = [None, *exact_certificates(d, range(1, d)).all(axis=-1).tolist()]  # certified[k] for R**k
+    assert certified.count(True) == sum(math.gcd(k, d) == 1 for k in range(1, d))
+    for k in range(1, d):
+        assert verdict["I", f"R^{k}"] == certified[k], (d, k)
+        for j in range(1, k):
+            assert verdict[f"R^{j}", f"R^{k}"] == certified[k - j], (d, j, k)

@@ -57,7 +57,7 @@ def test_family_odd_prime(d):
     assert labels[-1] == f"R^{d - 1}"
     report = verify_family(family)
     assert report.passed
-    assert len(report.pairs) == (d + 1) * d // 2
+    assert len(report.pairs) == len(report.deviations) == (d + 1) * d // 2
     assert report.worst < 1e-12
 
 
@@ -109,15 +109,21 @@ def test_verifier_flags_biased_pair():
     )
     report = verify_family(duplicated)
     assert not report.passed
-    assert report.pairs[0].deviation == pytest.approx(1 - 0.5)
+    assert report.pairs == (("I", "J"),)
+    assert report.deviations[0] == pytest.approx(1 - 0.5)
+    # a family of one basis has no pair: nothing to fail, and a worst of 0
+    single = verify_family(MubFamily(3, build_family(3).bases[:1], Recipe.PRIME))
+    assert single.passed and single.pairs == () and single.deviations.shape == (0,)
+    assert single.worst == 0.0
     with pytest.raises(ValueError):
         verify_family(duplicated, tol=-1.0)
     # tol=None is default_tolerance(d): 2e-9 at d = 4 admits an F off unitarity by 1.5e-9
     skew = math.sqrt(1 + 1.5e-9)
     bases = [(label, DenseUnitary(d, b.entries * skew) if label == "F" else b) for label, b in build_family(d).bases]
     near = MubFamily(d, tuple(bases), Recipe.EVEN)
-    assert verify_family(near) == verify_family(near, default_tolerance(d))
-    assert verify_family(near).passed and not verify_family(near, 1e-9).passed
+    default, explicit = verify_family(near), verify_family(near, default_tolerance(d))
+    assert default.pairs == explicit.pairs and np.array_equal(default.deviations, explicit.deviations)
+    assert default.passed and explicit.passed and not verify_family(near, 1e-9).passed
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
@@ -151,8 +157,7 @@ def test_even_rotation_square_validation():
 def test_fourier_unbiased_against_identity():
     # the (I, F) pair is the classic position/momentum example
     report = verify_family(build_family(7))
-    first = report.pairs[0]
-    assert {first.label_a, first.label_b} == {"I", "F"}
+    assert report.pairs[0] == ("I", "F")
     product = build_fourier(7).entries
     assert np.abs(np.abs(product) - 7**-0.5).max() < 1e-14
 
@@ -174,17 +179,19 @@ def _assert_matches_oracle(family):
     report = verify_family(family, tol)
     oracle = _dense_oracle(family, tol)
     bases = dict(family.bases)
-    assert [(p.label_a, p.label_b, p.passed) for p in report.pairs] == [o[:3] for o in oracle]
+    verdicts = (report.deviations <= tol).tolist()
+    assert [(*pair, ok) for pair, ok in zip(report.pairs, verdicts)] == [o[:3] for o in oracle]
+    assert report.passed == all(o[2] for o in oracle)
     # two circulants, or build_fourier's F and a circulant, are read from
     # spectra, within rounding of the dense product; a pair with any other
     # dense member is the oracle's own computation
-    for pair, (*_, deviation) in zip(report.pairs, oracle):
-        members = bases[pair.label_a], bases[pair.label_b]
+    for pair, value, (*_, deviation) in zip(report.pairs, report.deviations.tolist(), oracle):
+        members = bases[pair[0]], bases[pair[1]]
         circulants = sum(isinstance(m, CirculantMatrix) for m in members)
         if circulants == 2 or (circulants == 1 and any(isinstance(m, FourierMatrix) for m in members)):
-            assert abs(pair.deviation - deviation) <= 1e-14, (pair, deviation)
+            assert abs(value - deviation) <= 1e-14, (pair, value, deviation)
         else:
-            assert pair.deviation == deviation, (pair, deviation)
+            assert value == deviation, (pair, value, deviation)
     return report
 
 
@@ -213,7 +220,7 @@ def test_structured_verifier_matches_dense_oracle_on_biased_families():
     ]
     reports = [_assert_matches_oracle(MubFamily(d, bases, Recipe.ODD_COMPOSITE)) for d, bases in families]
     assert not any(report.passed for report in reports)
-    assert reports[0].pairs[0].deviation == pytest.approx(1 - 7**-0.5)
+    assert reports[0].deviations[0] == pytest.approx(1 - 7**-0.5)
 
 
 def test_family_members_keep_their_structure():
@@ -255,8 +262,9 @@ def test_fourier_held_as_plain_dense_takes_the_dense_product(monkeypatch):
     calls.clear()
     report = verify_family(MubFamily(d, (*family.bases, ("G", gaussian)), family.recipe))
     assert calls == [gaussian] * (d + 1)  # every member against G
-    assert [p.passed for p in report.pairs if p.label_b == "G"] == [False] * (d + 1)
-    assert all(p.passed for p in report.pairs if p.label_b != "G")
+    verdicts = list(zip(report.pairs, (report.deviations <= default_tolerance(d)).tolist()))
+    assert [ok for (_, label_b), ok in verdicts if label_b == "G"] == [False] * (d + 1)
+    assert all(ok for (_, label_b), ok in verdicts if label_b != "G")
 
 
 def test_prime_family_beyond_the_dense_verifier():
@@ -274,7 +282,8 @@ def test_identity_row_measures_each_member_unitary():
     # Gram defect: a circulant's from its spectrum, a dense member's from X* X
     for d in [*range(2, 98), 127]:
         family = build_family(d)
-        identity_row = {p.label_b: p.deviation for p in verify_family(family).pairs if p.label_a == "I"}
+        report = verify_family(family)
+        identity_row = {b: dev for (a, b), dev in zip(report.pairs, report.deviations.tolist()) if a == "I"}
         assert list(identity_row) == [label for label, _ in family.bases[1:]]
         for label, member in family.bases[1:]:
             if isinstance(member, CirculantMatrix):
