@@ -17,20 +17,21 @@ parameters they must vanish up to rounding, as must the batched
 reciprocity_deviations, triangular_trace_deviations and power_sum_deviations.
 shift_sums gives the sums behind the sweep at any multiplier.
 
-_direct is a row kernel: for ints a and b it returns S(a, b, d), for int64
-arrays one sum per entry of their broadcast, gathered from the root table of
-d a block of _BLOCK exponents at a time so that memory stays bounded.  Each
-row equals the scalar sum bit for bit.  _quarter_phase and _one_step take an
-int or an int64 array b the same way.  The arithmetic is exact: ints are
-reduced (mod 2d, mod 4ad for the quarter phase) before they meet int64, and
-int64 products are of residues.  reciprocity_deviations reduces each b mod 4ad
-as a Python int, which fixes b mod 2d, b mod 2a and b**2 mod 8ad, since
-(b + 4ad)**2 = b**2 + 8ad*(b + 2ad).
+_direct is the one row kernel: one sum per entry of the broadcast of a and
+b, ints or int64 arrays (a 0-d row for two ints, which the scalar sums read
+with complex()), gathered from the root table of d a block of _BLOCK
+exponents at a time so that memory stays bounded.  _quarter_phase and
+_one_step take b the same way.  Scalar parameters enter as Python ints
+(GaussSumSpec stores int(a), int(b), int(d); _quarter_phase takes int(a),
+int(d)), so no guard is computed in a numpy integer that can wrap.  The
+arithmetic is exact: an int is reduced (mod 2d, mod 4ad for the quarter
+phase) before it becomes an array, and int64 products are of residues.
+reciprocity_deviations reduces each b mod 4ad as a Python int, which fixes
+b mod 2d, b mod 2a and b**2 mod 8ad, since (b + 4ad)**2 = b**2 + 8ad*(b + 2ad).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -74,54 +75,50 @@ class GaussSumSpec:
     def __post_init__(self) -> None:
         _check_integers("coefficient a or b", self.a, self.b)
         _check_dimension(self.d, what="modulus d")
+        for name in ("a", "b", "d"):  # a numpy integer would wrap in the reciprocity step
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def _direct(a, b, d: int):
-    """S(a, b, d) for ints a and b; for int64 arrays, one sum per entry of
-    the broadcast of a and b, with the shape of that broadcast."""
+    """One S(a, b, d) per entry of the broadcast of a and b (ints or int64
+    arrays), with the shape of that broadcast: 0-d for an int a and b."""
     # each factor is reduced mod 2d before the next product (the phase_ring
     # order), so no int64 intermediate reaches 6*d**2
     _check_dimension(d)
     m = 2 * int(d)
     j = np.arange(d, dtype=np.int64)
     squares = j * j % m
-
-    def row_sums(a_col, b_col):
-        t = a_col * squares
-        t += b_col * j
-        t %= m
-        return root_table(d)[t].sum(axis=-1)
-
-    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-        return complex(row_sums(a % m, b % m))
-    a_rows = a % m + 0 * b  # the broadcast of a and b, cheaper than broadcast_arrays
-    b_flat = (b % m + 0 * a).reshape(-1, 1)
+    a, b = np.asarray(a % m), np.asarray(b % m)  # an int of any size enters as an int64 residue
+    a_rows = a + 0 * b  # the broadcast of a and b, cheaper than broadcast_arrays
+    b_flat = (b + 0 * a).reshape(-1, 1)
     a_flat = a_rows.reshape(-1, 1)
     sums = np.empty(a_flat.shape[0], dtype=np.complex128)
     step = max(1, _BLOCK // d)
     for lo in range(0, sums.size, step):
-        sums[lo : lo + step] = row_sums(a_flat[lo : lo + step], b_flat[lo : lo + step])
+        t = a_flat[lo : lo + step] * squares
+        t += b_flat[lo : lo + step] * j
+        t %= m
+        sums[lo : lo + step] = root_table(d)[t].sum(axis=-1)
     return sums.reshape(a_rows.shape)
 
 
 def gauss_sum_direct(spec: GaussSumSpec) -> complex:
     """Sum the d phases exp((i*pi/d)(a*j**2 + b*j)) term by term."""
-    return _direct(spec.a, spec.b, spec.d)
+    return complex(_direct(spec.a, spec.b, spec.d))
 
 
 def _quarter_phase(a: int, b, d: int):
-    """exp((i*pi/4)(sgn(a*d) - b**2/(a*d))) for an int b, or one per entry
-    of an int64 array b."""
+    """exp((i*pi/4)(sgn(a*d) - b**2/(a*d))) for each entry of b, an int or an
+    int64 array."""
     # the exponent (|a*d| - b**2) / n, n = 4*a*d, is reduced mod 2 as an
     # integer numerator mod 2n before any float rounding; b enters reduced
-    # mod n, which keeps b**2 mod 2n, and an array falls back to Python ints
-    # where the square of a residue would not fit in int64
+    # mod n, which keeps b**2 mod 2n, and as Python ints where the square of
+    # a residue would not fit in int64
+    a, d = int(a), int(d)
     n = 4 * a * d
-    if isinstance(b, np.ndarray) and n * n >= 2**63:
-        b = b.astype(object)
+    if n * n >= 2**63:
+        b = np.asarray(b, dtype=object)
     frac = (abs(a * d) - (b % n) ** 2) % (2 * n) / n
-    if not isinstance(b, np.ndarray):  # cmath.exp costs a tenth of a numpy call on one value
-        return cmath.exp(1j * math.pi * frac)
     return np.exp(1j * np.pi * np.asarray(frac, dtype=np.float64))
 
 
@@ -144,8 +141,8 @@ def gauss_sum_reciprocity(spec: GaussSumSpec) -> complex:
     if (a * d + b) % 2:
         raise ValueError(f"reciprocity needs a*d + b even, got a={a} b={b} d={d}")
     if a < 0:
-        return _one_step(-a, -b, d).conjugate()
-    return _one_step(a, b, d)
+        return complex(_one_step(-a, -b, d)).conjugate()
+    return complex(_one_step(a, b, d))
 
 
 def reciprocity_deviations(a: int, bs: range, d: int) -> np.ndarray:
@@ -200,7 +197,7 @@ def triangular_trace_deviations(d: int, ks) -> np.ndarray:
 def verify_even_gauss(d: int) -> float:
     """| |S(1, 0, d)| - sqrt(d) | for even d."""
     _check_dimension(d, 2, "even", "even Gauss sum modulus")
-    return float(abs(abs(_direct(1, 0, d)) - math.sqrt(d)))
+    return abs(abs(complex(_direct(1, 0, d))) - math.sqrt(d))  # Python's abs: numpy's rounds otherwise
 
 
 def power_sum_deviations(d: int, ks: list[int], ms: list[int]) -> tuple[np.ndarray, np.ndarray]:

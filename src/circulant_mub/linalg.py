@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_ring import _check_dimension, root_table, square_phase, triangular_phase
+from .phase_ring import _check_dimension, _check_integers, root_table, square_phase, triangular_phase
 
 DEFAULT_TOL_BASE = 1e-9  # the tolerance base of every check, and the CLI's --tol default
 
@@ -221,19 +221,18 @@ def adjoint(a) -> DenseUnitary:
     return DenseUnitary(ma.shape[0], _freeze(ma.conj().T))
 
 
+def _check_exponent(n: int) -> None:
+    _check_integers("exponent n", n)
+    if n < 0:
+        raise ValueError(f"exponent n must be an integer >= 0, got {n!r}")
+
+
 def power(a, n: int) -> DenseUnitary:
-    """Square-and-multiply power; a negative n means the same power of the
-    adjoint and is allowed only after the matrix verifies as unitary within
-    default_tolerance(d)."""
+    """Square-and-multiply power for an integer n >= 0; for a negative power
+    of a unitary, raise its adjoint (a.conj().T) to -n."""
+    _check_exponent(n)
     ma = as_matrix(a)
     d = ma.shape[0]
-    if n < 0:
-        check = is_unitary(ma)
-        if not check.passed:
-            raise ValueError(
-                f"negative power of a non-unitary matrix (deviation {check.deviation:.3e})"
-            )
-        return power(ma.conj().T, -n)
     result = np.eye(d, dtype=np.complex128)
     base = ma
     m = n
@@ -257,9 +256,8 @@ def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatri
 
 
 def circulant_power(c: CirculantMatrix, n: int) -> CirculantMatrix:
-    """n-th power of a circulant, n >= 0, as a circulant."""
-    if n < 0:
-        raise ValueError("circulant_power expects a nonnegative exponent")
+    """n-th power of a circulant, for an integer n >= 0, as a circulant."""
+    _check_exponent(n)
     column = np.fft.ifft(np.fft.fft(c.first_column) ** n)
     return CirculantMatrix(c.dimension, _freeze(column))
 

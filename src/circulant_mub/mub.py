@@ -260,7 +260,7 @@ def structural_identities(d: int) -> list[tuple[str, dict, float]]:
             rhs = power(shift, k).entries @ clock
             found.append(("rotation-power-clock", {"d": d, "k": k}, _worst(lhs - rhs)))
             lhs = build_phased_fourier(d, k).entries
-            rhs = alpha**k * (adjoint(fourier).entries @ power(rotation, -k).entries @ f2)
+            rhs = alpha**k * (adjoint(fourier).entries @ power(rotation.conj().T, k).entries @ f2)
             found.append(("phased-fourier-identity", {"d": d, "k": k}, _worst(lhs - rhs)))
     return found
 

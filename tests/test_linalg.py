@@ -262,12 +262,28 @@ def test_power_matches_matrix_power_oracle():
     q, _ = np.linalg.qr(m)
     for n in (0, 1, 2, 3, 7, 13):
         assert np.abs(power(q, n).entries - np.linalg.matrix_power(q, n)).max() < 1e-12
-    assert np.abs(power(q, -3).entries - np.linalg.matrix_power(q, -3)).max() < 1e-12
 
 
 def test_negative_power_requires_unitarity():
-    with pytest.raises(ValueError):
-        power(2.0 * np.eye(3), -1)
+    # no negative power is taken, of a unitary either: raise the adjoint
+    for n in (-1, -3):
+        for a in (2.0 * np.eye(3), build_fourier(3), build_rotation(5)):
+            with pytest.raises(ValueError, match="exponent n must be an integer >= 0"):
+                power(a, n)
+        with pytest.raises(ValueError, match="exponent n must be an integer >= 0"):
+            circulant_power(build_rotation(5), n)
+
+
+def test_non_integer_exponents_are_refused():
+    # circulant_power(R, 2.5) returned the spectrum to the power 2.5, and
+    # power(R, 2.5) raised TypeError
+    rotation = build_rotation(5)
+    for n in (2.5, 2.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="exponent n must be an integer"):
+            power(rotation, n)
+        with pytest.raises(ValueError, match="exponent n must be an integer"):
+            circulant_power(rotation, n)
+    assert np.array_equal(power(rotation, np.int64(2)).entries, power(rotation, 2).entries)
 
 
 def test_multiply_dimension_mismatch():

@@ -110,6 +110,12 @@ def test_gauss_sums_match_a_high_precision_oracle(a, b, d):
     b=st.integers(-HUGE, HUGE),
     d=st.integers(1, HUGE),
 )
+# np.asarray of an int b in [2**63, 2**64) is a uint64 array, whose square
+# wraps; d = 10**9 puts (4ad)**2 past int64, and d = 3 keeps it inside
+@example(a=1, b=2**63 + 5, d=10**9)
+@example(a=-1, b=2**63 + 5, d=10**9)
+@example(a=1, b=2**63 + 5, d=3)
+@example(a=1, b=-(2**64) - 7, d=10**9)
 def test_quarter_phase_matches_fraction_formula(a, b, d):
     # reference: (|a*d| - b**2) / (4*a*d) reduced mod 2 as an exact rational
     frac = Fraction(abs(a * d) - b * b, 4 * a * d) % 2

@@ -37,6 +37,9 @@ COMMANDS = [
     ["gauss", "identity", "--d", "7..9", "--l", "1..4"],
     ["gauss", "identity", "--d", "9", "--l", "3"],
     ["gauss", "reciprocity", "--a", "1..20", "--d", "1..50"],
+    # 4ad is about 4.0e9, so (4ad)**2 passes int64 and the quarter phases
+    # square Python ints
+    ["gauss", "reciprocity", "--a", "1000003", "--d", "1001", "--b=-6..6"],
     ["gauss", "even", "--d", "2..40"],
     ["gauss", "trace", "--d", "3..31"],
     ["gauss", "powersums", "--d", "3..31"],
