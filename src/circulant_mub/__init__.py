@@ -52,7 +52,6 @@ _EXPORTS = {
         "exhaustive_biunimodular",
         "gauss_sequence",
         "is_biunimodular",
-        "shift_phase_equivalent",
     ),
     "gauss": (
         "GaussSumSpec",

@@ -222,47 +222,46 @@ def negative_check_even(d: int, tol: float | None = None) -> EvenSquareCheck:
     )
 
 
-def _worst(difference: np.ndarray) -> float:
-    return float(np.abs(difference).max())
-
-
-def structural_identities(d: int) -> list[tuple[str, dict, float]]:
-    """(check, case, deviation) for each matrix identity the construction
-    rests on, the deviation being the largest entry of |lhs - rhs|: with clock
-    U, shift V and omega = exp(2*i*pi/d), V U = omega U V, F* V F = U, F**2 =
-    the index reversal and F**4 = I; for odd prime d also, with alpha =
-    rotation_scalar(d) and D the triangular diagonal, R = alpha F D F*,
-    R U R* = V U, R**d = alpha**d I and, for k in {1, 2, d-2, d-1},
-    R**k U R**-k = V**k U and build_phased_fourier(d, k) = alpha**k F* R**-k F**2.
-    """
+def _identity_rows(d: int):
+    """(check, case, lhs, rhs) of each identity, in report order; yielded, so
+    only one row's matrices are alive at a time."""
     omega = complex(root_table(d)[2 % (2 * d)])
     fourier = build_fourier(d)
+    fourier_adj = adjoint(fourier)
     clock = build_clock(d).to_dense()
     shift = build_shift(d).to_dense()
-    found = [("clock-shift-commutation", {"d": d}, _worst(shift @ clock - omega * (clock @ shift)))]
-    conjugated = multiply(multiply(adjoint(fourier), shift), fourier).entries
-    found.append(("fourier-diagonalizes-shift", {"d": d}, _worst(conjugated - clock)))
+    yield "clock-shift-commutation", {}, shift @ clock, omega * (clock @ shift)
+    yield "fourier-diagonalizes-shift", {}, multiply(multiply(fourier_adj, shift), fourier).entries, clock
     f2 = multiply(fourier, fourier).entries
-    found.append(("fourier-square-is-reversal", {"d": d}, _worst(f2 - build_index_reversal(d).entries)))
-    found.append(("fourier-order-four", {"d": d}, _worst(f2 @ f2 - np.eye(d))))
+    yield "fourier-square-is-reversal", {}, f2, build_index_reversal(d).entries
+    yield "fourier-order-four", {}, f2 @ f2, np.eye(d)
     if d % 2 and is_prime(d):
         alpha = rotation_scalar(d)
         rotation = build_rotation(d).to_dense()
         diag = build_triangular_diagonal(d)
-        rhs = alpha * multiply(multiply(fourier, diag), adjoint(fourier)).entries
-        found.append(("rotation-diagonalization", {"d": d}, _worst(rotation - rhs)))
-        lhs = rotation @ clock @ rotation.conj().T
-        found.append(("rotation-clock-conjugation", {"d": d}, _worst(lhs - shift @ clock)))
-        found.append(("rotation-order", {"d": d}, _worst(power(rotation, d).entries - alpha**d * np.eye(d))))
+        # scale the read-only product: numpy scales a large writable temporary
+        # in place, which rounds differently
+        yield "rotation-diagonalization", {}, rotation, alpha * multiply(multiply(fourier, diag), fourier_adj).entries
+        yield "rotation-clock-conjugation", {}, rotation @ clock @ rotation.conj().T, shift @ clock
+        yield "rotation-order", {}, power(rotation, d).entries, alpha**d * np.eye(d)
         for k in sorted({1, 2, d - 2, d - 1} & set(range(1, d))):
             r_k = power(rotation, k).entries
-            lhs = r_k @ clock @ r_k.conj().T
-            rhs = power(shift, k).entries @ clock
-            found.append(("rotation-power-clock", {"d": d, "k": k}, _worst(lhs - rhs)))
-            lhs = build_phased_fourier(d, k).entries
-            rhs = alpha**k * (adjoint(fourier).entries @ power(rotation.conj().T, k).entries @ f2)
-            found.append(("phased-fourier-identity", {"d": d, "k": k}, _worst(lhs - rhs)))
-    return found
+            yield "rotation-power-clock", {"k": k}, r_k @ clock @ r_k.conj().T, power(shift, k).entries @ clock
+            rhs = alpha**k * (fourier_adj.entries @ power(rotation.conj().T, k).entries @ f2)
+            yield "phased-fourier-identity", {"k": k}, build_phased_fourier(d, k).entries, rhs
+
+
+def structural_identities(d: int) -> list[tuple[str, dict, float]]:
+    """(check, case, deviation) for each matrix identity the construction
+    rests on, the deviation of every row being max |lhs - rhs|, computed in
+    this one place: with clock U, shift V and omega = exp(2*i*pi/d), V U =
+    omega U V, F* V F = U, F**2 = the index reversal and F**4 = I; for odd
+    prime d also, with alpha = rotation_scalar(d) and D the triangular
+    diagonal, R = alpha F D F*, R U R* = V U, R**d = alpha**d I and, for k in
+    {1, 2, d-2, d-1}, R**k U R**-k = V**k U and build_phased_fourier(d, k) =
+    alpha**k F* R**-k F**2.
+    """
+    return [(check, {"d": d, **case}, float(np.abs(lhs - rhs).max())) for check, case, lhs, rhs in _identity_rows(d)]
 
 
 def coprime_power_mismatches(d: int, tol: float) -> list[int]:

@@ -64,9 +64,10 @@ def root_table(d: int) -> np.ndarray:
 
 
 def phase_of_omega(power: int, d: int) -> int:
-    """Exponent of omega**power where omega = exp(2*i*pi/d)."""
+    """Exponent of omega**power where omega = exp(2*i*pi/d), for an integer power."""
     _check_dimension(d)
-    return 2 * power % (2 * int(d))
+    _check_integers("power", power)
+    return 2 * (int(power) % int(d))  # 2p mod 2d = 2 (p mod d)
 
 
 def triangular_phase(j, l: int, d: int):
@@ -93,5 +94,6 @@ def square_phase(j, d: int):
 
 
 def to_complex(t: int, d: int) -> complex:
-    """Materialize the phase exp(i*pi*t/d) through the table of dimension d."""
+    """Materialize the phase exp(i*pi*t/d), t an integer, through the table of dimension d."""
+    _check_integers("exponent t", t)
     return complex(root_table(d)[t % (2 * int(d))])

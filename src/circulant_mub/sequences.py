@@ -139,25 +139,6 @@ def exhaustive_biunimodular(
     return list(_freeze(alphabet[digits[np.lexsort(digits.T[::-1])]]))
 
 
-def shift_phase_equivalent(a, b) -> bool:
-    """True when b equals a global unit phase times a cyclic shift of a, the
-    entrywise ratios agreeing within 1e-9.
-
-    Both sequences must be unimodular-ish (entries bounded away from zero);
-    the test compares entrywise ratios across every shift.
-    """
-    a, b = as_sequence(a), as_sequence(b)
-    if a.size != b.size:
-        return False
-    if np.abs(a).min() < 1e-12:
-        raise ValueError("shift/phase comparison needs nonvanishing entries")
-    for r in range(a.size):
-        ratio = b / np.roll(a, -r)
-        if np.abs(ratio - ratio[0]).max() <= 1e-9:
-            return True
-    return False
-
-
 def canonical_form(c) -> tuple:
     """Hashable representative of the orbit of c under cyclic shifts and a
     global phase: normalize each shift by its leading entry, round to 9

@@ -15,7 +15,7 @@ from circulant_mub import cli
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# the export list, by home module, as it stood when the exports became lazy
+# the export list, by home module
 EXPORTS = {
     "phase_ring": "phase_of_omega root_table square_phase to_complex triangular_phase",
     "linalg": (
@@ -27,7 +27,7 @@ EXPORTS = {
     ),
     "sequences": (
         "BiunimodularityReport as_sequence autocorrelation canonical_form dft_sequence "
-        "exhaustive_biunimodular gauss_sequence is_biunimodular shift_phase_equivalent"
+        "exhaustive_biunimodular gauss_sequence is_biunimodular"
     ),
     "gauss": (
         "GaussSumSpec gauss_identity_sweep gauss_sum_direct gauss_sum_reciprocity is_prime "

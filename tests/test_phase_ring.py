@@ -25,6 +25,20 @@ def test_phase_of_omega_examples():
     assert to_complex(t, 5) == pytest.approx(cmath.exp(2j * cmath.pi * 3 / 5), abs=1e-15)
 
 
+def test_phase_helpers_take_only_integers():
+    """A numpy-integer power or exponent gives the Python-int result, with no
+    int64 wrap in doubling the power; anything else is refused."""
+    for power in (2**62, -(2**63), 3, -2):
+        assert phase_of_omega(np.int64(power), 7) == phase_of_omega(power, 7) == 2 * (power % 7)
+        assert to_complex(np.int64(power), 7) == to_complex(power, 7)
+    assert phase_of_omega(2**62, 7) == 8 and phase_of_omega(-(2**63), 7) == 12
+    for bad in (2.5, "3", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            phase_of_omega(bad, 7)
+        with pytest.raises(ValueError, match="must be an integer"):
+            to_complex(bad, 7)
+
+
 def test_triangular_phase_examples():
     assert triangular_phase(0, 1, 7) == 0
     assert triangular_phase(2, 1, 3) == 0  # 1*2*3 = 6 wraps mod 6

@@ -19,7 +19,6 @@ from circulant_mub import (
     exhaustive_biunimodular,
     gauss_sequence,
     is_biunimodular,
-    shift_phase_equivalent,
 )
 from circulant_mub.linalg import default_tolerance
 from circulant_mub.sequences import group_orbits
@@ -119,7 +118,6 @@ def test_callers_arrays_stay_writable_and_built_arrays_are_read_only():
         "dft_sequence": dft_sequence,
         "autocorrelation": lambda c: autocorrelation(c, 2),
         "canonical_form": canonical_form,
-        "shift_phase_equivalent": lambda c: shift_phase_equivalent(c, c),
         "group_orbits": lambda c: group_orbits([c]),
         "DiagonalUnitary": lambda e: DiagonalUnitary(5, e),
     }
@@ -312,13 +310,15 @@ def test_tolerance_must_be_positive_and_finite(tol):
         is_biunimodular(gauss_sequence(3, 1), tol)
 
 
-def test_shift_phase_equivalence():
-    a = np.array([1.0, 1j])
-    assert shift_phase_equivalent(a, np.array([1j, 1.0]))
-    assert shift_phase_equivalent(a, np.array([1.0, -1j]))  # -i times the swap
-    assert shift_phase_equivalent(a, cmath.exp(0.3j) * a)
-    assert not shift_phase_equivalent(a, np.array([1.0, 1.0]))
-    assert not shift_phase_equivalent(a, np.array([1.0, 1j, 1.0]))
+def test_canonical_form_decides_shift_phase_equivalence():
+    """canonical_form is the package's one shift-and-phase test: two sequences
+    are equivalent exactly when their canonical forms are equal."""
+    key = canonical_form(np.array([1.0, 1j]))
+    assert canonical_form(np.array([1j, 1.0])) == key
+    assert canonical_form(np.array([1.0, -1j])) == key  # -i times the swap
+    assert canonical_form(cmath.exp(0.3j) * np.array([1.0, 1j])) == key
+    assert canonical_form(np.array([1.0, 1.0])) != key
+    assert canonical_form(np.array([1.0, 1j, 1.0])) != key
 
 
 def test_canonical_form_collapses_orbit():
