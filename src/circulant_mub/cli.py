@@ -548,24 +548,15 @@ _INDENT = "  "
 
 def _entry_texts(matrix, cell) -> np.ndarray:
     """cell(re, im) for every entry of a complex matrix, as an object array of
-    its shape.  cell runs once per distinct (re, im) bit pattern: comparing
-    bits, not values, keeps -0.0 apart from 0.0 and NaN payloads apart.  A
-    circulant gathers the texts of its first column c as C[i, j] = c[(i - j)
-    mod d].  The patterns are found by 1-D integer uniques, faster than a row
-    unique of the (n, 2) bits: the distinct real and imaginary bits each get
-    an index, each entry gets the code re_index * len(im_bits) + im_index
-    (below n**2, so it cannot overflow), and the distinct codes are the
-    distinct patterns."""
+    its shape.  Each entry is keyed by its 16 bytes, and cell runs once per
+    distinct key: comparing bytes, not values, keeps -0.0 apart from 0.0 and
+    NaN payloads apart.  A circulant gathers the texts of its first column c
+    as C[i, j] = c[(i - j) mod d]."""
     if isinstance(matrix, CirculantMatrix):
         return CirculantMatrix(matrix.dimension, _entry_texts(matrix.first_column, cell)).to_dense()
-    entries = as_matrix(matrix)
-    bits = np.ascontiguousarray(entries, dtype=np.complex128).view(np.uint64).reshape(-1, 2)
-    re_bits, re_index = np.unique(bits[:, 0], return_inverse=True)
-    im_bits, im_index = np.unique(bits[:, 1], return_inverse=True)
-    codes, inverse = np.unique(re_index * len(im_bits) + im_index, return_inverse=True)
-    re_codes, im_codes = np.divmod(codes, len(im_bits))
-    distinct = np.stack([re_bits[re_codes], im_bits[im_codes]], axis=-1).view(np.float64)
-    texts = np.array([cell(re, im) for re, im in distinct.tolist()], dtype=object)
+    entries = np.ascontiguousarray(as_matrix(matrix), dtype=np.complex128)
+    distinct, inverse = np.unique(entries.reshape(-1).view("V16"), return_inverse=True)
+    texts = np.array([cell(z.real, z.imag) for z in distinct.view(np.complex128).tolist()], dtype=object)
     return texts[inverse.reshape(entries.shape)]
 
 
@@ -605,7 +596,7 @@ def _json_text(value, level: int = 0) -> str:
     return brackets[0] + inner + f",{inner}".join(items) + "\n" + _INDENT * level + brackets[1]
 
 
-_RECORD_KEYS = ("check", "case", "passed", "deviation", "tolerance", "detail", "elapsed_s")  # _record's, in order
+_RECORD_KEYS = tuple(_record("", {}, None))
 
 
 def _float_text(value, previous: list, level: int) -> str:

@@ -5,7 +5,8 @@ Every phase appearing in this package is an integer power of the primitive
 exponent t, an int (or an int64 array of them) reduced modulo 2d and
 standing for exp(i*pi*t/d), and all phase algebra stays in the integers.
 Complex numbers enter only at materialization time, by indexing the
-per-dimension table of the 2d unit values with the exponents.
+per-dimension table of the 2d unit values with the exponents; the tables are
+kept for the 64 most recently used d.
 
 The convention ties the usual d-th root omega = exp(2*i*pi/d) to t = 2, and
 its square root exp(i*pi/d) to t = 1, so half-integer powers of omega (which
@@ -41,10 +42,13 @@ def _check_integers(what: str, *values) -> None:
             raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-@lru_cache(maxsize=None)
+# Bounded: a plan over d = 2..16000 would otherwise hold 2 GB of tables.  64
+# still holds the 50 tables that `gauss reciprocity --a 1..20 --d 1..50`
+# cycles through for each value of a.
+@lru_cache(maxsize=64)
 def root_table(d: int) -> np.ndarray:
     """Read-only array of all 2d values exp(i*pi*t/d), t = 0 .. 2d-1,
-    computed once per dimension and shared.
+    kept for the 64 most recently used d.
 
     Entries on the axes (t = 0, d/2, d, 3d/2) are set to 1, i, -1, -i
     exactly, and the second half of the circle is the complex conjugate of

@@ -701,8 +701,24 @@ def test_entry_texts_of_a_circulant_match_its_dense_entries(members):
         np.full((3, 4), complex(0.5, -0.5)),
         np.arange(12, dtype=np.complex128).reshape(4, 3) * complex(1.0, -2.0),
         build_family(7).bases[2][1].to_dense() * math.sqrt(7),
+        # inputs that are not C-contiguous: each is keyed through a contiguous copy
+        as_matrix(build_family(7).bases[1][1]).T,
+        np.asfortranarray(np.arange(12, dtype=np.complex128).reshape(4, 3) * complex(1.0, -2.0)),
+        (as_matrix(build_family(7).bases[1][1]) * 2)[::2, 1::2],
+        np.array([[0.0], [-0.0]], dtype=np.complex128),
     ],
-    ids=["signed-zeros", "nan-payloads", "infinities", "all-equal", "all-distinct", "rotation-7"],
+    ids=[
+        "signed-zeros",
+        "nan-payloads",
+        "infinities",
+        "all-equal",
+        "all-distinct",
+        "rotation-7",
+        "fourier-7-transposed",
+        "fortran-order",
+        "strided-slice",
+        "one-column-signed-zeros",
+    ],
 )
 def test_entry_texts_formats_each_distinct_bit_pattern_once(entries):
     calls = []

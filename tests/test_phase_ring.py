@@ -168,3 +168,11 @@ def test_phase_arithmetic_refuses_moduli_above_the_int64_bound():
 def test_shared_table_instance_per_dimension():
     # builders must see bit-identical phases, so the table is a singleton
     assert root_table(11) is root_table(11)
+
+
+def test_table_cache_is_bounded():
+    # one table per d for a plan over many d grows the memory with the square
+    # of the span's top; the cache keeps only the most recently used tables
+    for d in range(1, 201):
+        root_table(d)
+    assert root_table.cache_info().currsize <= 64

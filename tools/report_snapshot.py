@@ -41,6 +41,9 @@ COMMANDS = [
     ["gauss", "identity", "--d", "7..9", "--l", "1..4"],
     ["gauss", "identity", "--d", "9", "--l", "3"],
     ["gauss", "reciprocity", "--a", "1..20", "--d", "1..50"],
+    # 100 distinct d are more than root_table's cache holds, so tables are
+    # evicted and rebuilt while the plan runs
+    ["gauss", "reciprocity", "--a", "1..3", "--d", "1..100"],
     # 4ad is about 4.0e9, so (4ad)**2 passes int64 and the quarter phases
     # square Python ints
     ["gauss", "reciprocity", "--a", "1000003", "--d", "1001", "--b=-6..6"],
