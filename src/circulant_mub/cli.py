@@ -24,9 +24,11 @@ for build, the MubFamily itself), and the json, text and csv renderers write
 that dict straight into the --output file or stdout, which is opened before
 any check runs.  json and text scale each member only as they write it
 (scale * entries), csv writes the member's own entries.  The json writer
-emits the bytes of json.dump(doc, indent=2) one top-level key, record and
-matrix row at a time, fills each record into one template of its encoded keys,
-and formats a circulant member from its first column.
+writes only what a report holds: scalars, flat dicts of scalars, the records,
+the family and its matrices.  It emits the bytes of json.dump(doc, indent=2)
+one top-level key, record and matrix row at a time, fills each record and its
+case into one template of encoded keys, and formats a circulant member from
+its first column.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 (a bad argument or an --output path that cannot be opened), 3 internal error
 (an unexpected exception, reported with its traceback on stderr).
@@ -566,47 +568,33 @@ def _matrix_rows(matrix, level: int) -> list[str]:
     return [f"[{row}" + f",{row}".join(cells) + f"\n{_INDENT * (level + 1)}]" for cells in grid.tolist()]
 
 
-def _json_text(value, level: int = 0) -> str:
-    """value as json.dump(value, indent=2) writes it at nesting depth level; a
-    complex matrix (2-D, non-empty) is written by _matrix_rows, one text a row.
-    The records of a report skip this walk: _item_text fills each one into its
-    template, and renders only the case and other values here."""
+def _json_text(value) -> str:
+    """A report's scalar, a str, None, a bool, an int or a float, as json.dump
+    writes it; anything else is a TypeError, as in json.dump."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
+        return _LITERALS[value]
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
         if math.isfinite(value):
             return float.__repr__(value)
         return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    inner = "\n" + _INDENT * (level + 1)
-    if isinstance(value, (np.ndarray, CirculantMatrix)):
-        items, brackets = _matrix_rows(value, level), "[]"
-    elif isinstance(value, dict):
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, level + 1) for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items, brackets = [_json_text(v, level + 1) for v in value], "[]"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    return brackets[0] + inner + f",{inner}".join(items) + "\n" + _INDENT * level + brackets[1]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
 _RECORD_KEYS = tuple(_record("", {}, None))
 
 
-def _float_text(value, previous: list, level: int) -> str:
-    """_json_text(value, level) for one record field; previous holds [value,
-    text] of the same field in the last record.  A nonzero value of exactly
-    type float that equals the previous one reuses its text: equal nonzero
-    floats have equal bits, so -0.0 never aliases 0.0, and 1 or True never
-    alias 1.0."""
+def _float_text(value, previous: list) -> str:
+    """_json_text(value) for one record field; previous holds [value, text] of
+    the same field in the last record.  A nonzero value of exactly type float
+    that equals the previous one reuses its text: equal nonzero floats have
+    equal bits, so -0.0 never aliases 0.0, and 1 or True never alias 1.0."""
     if type(value) is not float:
-        return _json_text(value, level)
+        return _json_text(value)
     if value and value == previous[0]:
         return previous[1]
     text = _json_text(value)
@@ -614,66 +602,63 @@ def _float_text(value, previous: list, level: int) -> str:
     return text
 
 
-def _item_text(level: int):
-    """A function of one item that returns _json_text(item, level).  An item
-    that is exactly a record, a dict with _record's seven keys in _record's
-    order, is filled into one template built once for the level: its keys are
-    encoded once, check and detail are encoded strings, passed a literal, case
-    goes through _json_text, and each float field reuses the last record's
-    text when the value repeats (records come out of _run sorted, so tolerance
-    and elapsed_s repeat across a check group).  Any other item goes through
-    _json_text."""
+def _record_text(level: int):
+    """A function of one _record dict that returns json.dump(record, indent=2)
+    at nesting depth level: one template of the encoded record keys, filled with
+    check and detail (strs), passed (True, False or None) and the case, a flat
+    dict of ints and strs joined with its encoded keys ({} when empty).  A float
+    field reuses the last record's text while its value repeats (_run sorts)."""
     inner = "\n" + _INDENT * (level + 1)
     template = ",".join(f"{inner}{encode_basestring_ascii(k)}: %s" for k in _RECORD_KEYS)
     template = "{" + template + "\n" + _INDENT * level + "}"
+    field = "\n" + _INDENT * (level + 2)
     deviations, tolerances, elapsed = [0.0, ""], [0.0, ""], [0.0, ""]
 
-    def text(item) -> str:
-        if type(item) is not dict or tuple(item) != _RECORD_KEYS:
-            return _json_text(item, level)
-        check, case, passed, deviation, tolerance, detail, elapsed_s = item.values()
+    def text(record: dict) -> str:
+        check, case, passed, deviation, tolerance, detail, elapsed_s = record.values()
+        fields = f",{field}".join(f"{encode_basestring_ascii(k)}: {_json_text(v)}" for k, v in case.items())
         return template % (
-            encode_basestring_ascii(check) if type(check) is str else _json_text(check, level + 1),
-            _json_text(case, level + 1),
-            "true" if passed is True else "false" if passed is False else _json_text(passed, level + 1),
-            _float_text(deviation, deviations, level + 1),
-            _float_text(tolerance, tolerances, level + 1),
-            encode_basestring_ascii(detail) if type(detail) is str else _json_text(detail, level + 1),
-            _float_text(elapsed_s, elapsed, level + 1),
+            encode_basestring_ascii(check),
+            "{" + field + fields + inner + "}" if case else "{}",
+            _LITERALS[passed],
+            _float_text(deviation, deviations),
+            _float_text(tolerance, tolerances),
+            encode_basestring_ascii(detail),
+            _float_text(elapsed_s, elapsed),
         )
 
     return text
 
 
 def _write_json(value, write, level: int = 0) -> None:
-    """Write _json_text(value, level) without ever holding it as one string:
-    a dict one key at a time, a list one whole item at a time (a record
-    through _item_text's template, its float texts reused while they repeat),
-    a generator one item and a matrix one row at a time, and a MubFamily as its payload."""
+    """Write the report, or its value at nesting depth level, as json.dump(value,
+    indent=2) does, never as one string.  Besides scalars it writes a dict one
+    key at a time, the family (a MubFamily, as its payload) one member of its
+    generator at a time, the records list one _record at a time through
+    _record_text, and a complex matrix (2-D, non-empty) one row at a time."""
     if isinstance(value, MubFamily):
         value = _family_payload(value)
+    if not isinstance(value, (dict, GeneratorType, list, np.ndarray, CirculantMatrix)):
+        write(_json_text(value))
+        return
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
     inner = "\n" + _INDENT * (level + 1)
-    if isinstance(value, dict) and value:
-        separator = "{" + inner
+    separator = opening + inner
+    if isinstance(value, dict):
         for key, item in value.items():
             write(separator + encode_basestring_ascii(key) + ": ")
             _write_json(item, write, level + 1)
             separator = "," + inner
-        write("\n" + _INDENT * level + "}")
     elif isinstance(value, GeneratorType):  # the family's members, each scaled as it is reached
-        for index, item in enumerate(value):
-            write(("," if index else "[") + inner)
+        for item in value:
+            write(separator)
             _write_json(item, write, level + 1)
-        write("\n" + _INDENT * level + "]")
-    elif isinstance(value, CirculantMatrix) or isinstance(value, (list, tuple, np.ndarray)) and len(value):
-        texts = map(_item_text(level + 1), value) if isinstance(value, (list, tuple)) else _matrix_rows(value, level)
-        separator = "[" + inner
-        for text in texts:
+            separator = "," + inner
+    else:
+        for text in map(_record_text(level + 1), value) if isinstance(value, list) else _matrix_rows(value, level):
             write(separator + text)
             separator = "," + inner
-        write("\n" + _INDENT * level + "]")
-    else:
-        write(_json_text(value, level))
+    write(opening + closing if separator[0] == opening else "\n" + _INDENT * level + closing)  # {} or [] if empty
 
 
 def _destination(output: str | None):

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -28,6 +29,7 @@ from circulant_mub import (
     gauss_sum_reciprocity,
 )
 from circulant_mub import mub
+from circulant_mub.__main__ import _THREAD_VARIABLES
 from circulant_mub import cli
 from circulant_mub.gauss import power_sum_deviations
 from circulant_mub.sequences import alphabet_exponents, group_orbits
@@ -1045,3 +1047,50 @@ def test_report_snapshot_writes_code_stderr_and_stdout_per_format(tmp_path):
     # with the clock frozen a second snapshot has the same bytes
     snapshot.snapshot(tmp_path / "b", commands)
     assert all((tmp_path / "b" / p.name).read_bytes() == p.read_bytes() for p in written)
+    # the digest holds the sha256 of each file's bytes
+    assert snapshot.digest(commands)["sha256"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def one_thread_child(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run python argv in a fresh interpreter that sets none of the BLAS thread
+    variables, with this process's package first on its path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=300)
+    assert proc.returncode in (EXIT_OK, EXIT_FAILURES), proc.stderr
+    return proc
+
+
+def test_report_snapshot_runs_on_the_clis_one_blas_thread(tmp_path):
+    # from d >= 128 the dense identity deviations change in their low bits
+    # with the thread count, so the in-process snapshot must choose it as
+    # python -m circulant_mub does
+    code = (
+        f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import report_snapshot as tool\n"
+        "tool.COMMANDS[:] = [['verify', '--dims', '131']]; tool.FORMATS = ('text',)\n"
+        "sys.exit(tool.main(['.']))"
+    )
+    one_thread_child("-c", code, cwd=tmp_path)
+    snapshot = (tmp_path / "verify_dims_131.text.out").read_text(encoding="utf-8")
+    printed = one_thread_child("-m", "circulant_mub", "verify", "--dims", "131", "--format", "text", cwd=tmp_path)
+    # all but the summary line, whose elapsed time the snapshot freezes
+    assert_same_text(snapshot.rsplit("summary:", 1)[0], printed.stdout.rsplit("summary:", 1)[0])
+
+
+def test_reports_keep_the_bytes_of_the_committed_digest(tmp_path):
+    # a change that moves a report on purpose regenerates the digest with
+    # python tools/report_snapshot.py --digest tools/report_digest.json
+    committed = json.loads((TOOLS / "report_digest.json").read_text(encoding="utf-8"))
+    one_thread_child(str(TOOLS / "report_snapshot.py"), "--digest", "digest.json", cwd=tmp_path)
+    fresh = json.loads((tmp_path / "digest.json").read_text(encoding="utf-8"))
+    names = committed["sha256"].keys() | fresh["sha256"].keys()
+    moved = sorted(name for name in names if committed["sha256"].get(name) != fresh["sha256"].get(name))
+    assert fresh["environment"] == committed["environment"], (
+        f"the digest was made on {committed['environment']}, this run on {fresh['environment']}; "
+        f"{len(moved)} outputs differ: {', '.join(moved)}"
+    )
+    assert not moved, f"{len(moved)} of {len(names)} outputs differ from the digest: {', '.join(moved)}"

@@ -218,28 +218,11 @@ def complex_matrix(draw):
     return np.array(values, dtype=np.float64).view(np.complex128).reshape(rows, cols)
 
 
-json_doc = st.recursive(
-    json_scalar | complex_matrix(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_string, inner, max_size=3),
-    max_leaves=8,
-)
-
-
-def json_dump_default(obj):
-    """The json.dump hook for matrices that the streaming writer replaced."""
-    return np.stack([obj.real, obj.imag], axis=-1).tolist()
-
-
-@settings(deadline=None, derandomize=True, max_examples=60)
-@given(doc=st.dictionaries(json_string, json_doc, max_size=3), records=st.lists(json_doc, max_size=3))
-def test_json_writer_matches_json_dump(doc, records):
-    doc["records"] = records
-    expected = io.StringIO()
-    json.dump(doc, expected, indent=2, default=json_dump_default)
-    written = io.StringIO()
-    cli._write_json(doc, written.write)
-    assert written.getvalue() == expected.getvalue()
-
+# the values a report holds besides its records and family: scalars, flat
+# dicts of scalars (config, summary) and matrices
+report_value = json_scalar | st.dictionaries(json_string, json_scalar, max_size=3) | complex_matrix()
+# a record's case: a flat dict of ints and strs, {} included
+record_case = st.dictionaries(json_string, st.integers(-(2**70), 2**70) | json_string, max_size=3)
 
 # values that compare equal but print differently (0.0 / -0.0, 1 / 1.0 /
 # True), values equal to nothing (NaN), the infinities and None: the float
@@ -251,42 +234,47 @@ record_number = st.sampled_from(NEIGHBOURS) | json_float
 
 @st.composite
 def report_record(draw):
-    """A dict with a record's seven keys: neighbouring numbers, bools and None
-    in passed and the float fields, any text in check and detail, any JSON in
-    case.  A third of them have the keys in another order and a third an
-    extra key, neither of which is a record."""
-    record = {
-        "check": draw(json_string),
-        "case": draw(st.dictionaries(json_string, json_doc, max_size=3)),
-        "passed": draw(record_number),
-        "deviation": draw(record_number),
-        "tolerance": draw(record_number),
-        "detail": draw(json_string),
-        "elapsed_s": draw(record_number),
-    }
-    shape = draw(st.sampled_from(["record", "reordered", "extra key"]))
-    if shape == "reordered":
-        keys = draw(st.permutations(list(record)).filter(lambda keys: keys != list(record)))
-        record = {key: record[key] for key in keys}
-    elif shape == "extra key":
-        record[draw(json_string.filter(lambda key: key not in record))] = draw(json_doc)
+    """A cli._record: any text in check and detail, a flat case, passed True,
+    False or None, and neighbouring numbers in the float fields."""
+    record = cli._record(
+        draw(json_string),
+        draw(record_case),
+        draw(st.sampled_from([True, False, None])),
+        draw(record_number),
+        draw(record_number),
+        draw(json_string),
+    )
+    record["elapsed_s"] = draw(record_number)
     return record
 
 
+def json_dump_default(obj):
+    """The json.dump hook for matrices that the streaming writer replaced."""
+    return np.stack([obj.real, obj.imag], axis=-1).tolist()
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(doc=st.dictionaries(json_string, report_value, max_size=3), records=st.lists(report_record(), max_size=3))
+def test_json_writer_matches_json_dump(doc, records):
+    doc["records"] = records
+    expected = io.StringIO()
+    json.dump(doc, expected, indent=2, default=json_dump_default)
+    written = io.StringIO()
+    cli._write_json(doc, written.write)
+    assert written.getvalue() == expected.getvalue()
+
+
 def neighbour_records():
-    # every field but case and detail steps through NEIGHBOURS, one record at a time
-    return [
-        {
-            "check": "pair-unbiased",
-            "case": {"d": 7, "pair": "é|\x00 ", "nested": {"k": [1, 1.0, -0.0]}, "empty": {}},
-            "passed": value,
-            "deviation": value,
-            "tolerance": value,
-            "detail": "\x1fé\U0001d11e",
-            "elapsed_s": value,
-        }
-        for value in NEIGHBOURS
-    ]
+    # deviation, tolerance and elapsed_s step through NEIGHBOURS one record at
+    # a time, passed through True, False and None, and the case alternates
+    # between flat and empty
+    records = []
+    for i, value in enumerate(NEIGHBOURS):
+        case = {"d": 7, "pair": "é|\x00 ", "k": 2**70} if i % 2 else {}
+        record = cli._record("pair-unbiased", case, [True, False, None][i % 3], value, value, "\x1fé\U0001d11e")
+        record["elapsed_s"] = value
+        records.append(record)
+    return records
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)

@@ -1,20 +1,34 @@
-"""Write the CLI's reports for a fixed command list, so two trees can be diffed.
+"""Write the CLI's reports for a fixed command list, so two trees can be compared.
 
     python tools/report_snapshot.py OUT_DIR
+    python tools/report_snapshot.py --digest FILE
 
 Each command runs in process, through cli.main of the package in this tree's
 src/, once per format (json, text and csv), with time.perf_counter frozen so
-the elapsed_s fields read 0.  Each run writes three files into OUT_DIR, named
-after the command and the format: NAME.code (the exit code), NAME.err (stderr)
-and NAME.out (stdout).  Copy this script into another tree's tools/ and run it
-there to snapshot that tree; `diff -r A B` of two snapshots is then empty
-exactly when every report, message and exit code is byte-identical.
+the elapsed_s fields read 0.  Each run has three outputs, named after the
+command and the format: NAME.code (the exit code), NAME.err (stderr) and
+NAME.out (stdout).  OUT_DIR mode writes each output to a file of its name.
+Copy this script into another tree's tools/ and run it there to snapshot that
+tree; `diff -r A B` of two snapshots is then empty exactly when every report,
+message and exit code is byte-identical.  --digest mode writes FILE instead, a
+JSON object of the sha256 of each output (the sha256 of its file) and of the
+environment the reports were made in: Python, numpy, its BLAS and the BLAS
+thread variables.  tools/report_digest.json is this tree's digest, and
+tests/test_cli.py regenerates it and names every output that moved.
+
+The tool runs on one OpenBLAS thread unless one of the thread variables is set,
+as python -m circulant_mub does: from d >= 128 the dense identity deviations
+change in their low bits with the thread count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
+import os
+import platform
 import re
 import sys
 import time
@@ -90,30 +104,63 @@ def run_one(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def snapshot(out_dir: Path, commands: list[list[str]] = COMMANDS) -> list[Path]:
-    """Run every command in every format and write its three files; return the
-    paths written."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+def outputs(commands: list[list[str]] = COMMANDS):
+    """(name, text) of the three outputs of every command in every format."""
     for argv in commands:
         for fmt in FORMATS:
             name = re.sub(r"[^\w.-]+", "_", "_".join(arg.lstrip("-") for arg in argv)) + f".{fmt}"
             code, stdout, stderr = run_one([*argv, "--format", fmt])
-            for suffix, text in (("code", f"{code}\n"), ("err", stderr), ("out", stdout)):
-                path = out_dir / f"{name}.{suffix}"
-                path.write_text(text, encoding="utf-8", newline="")
-                written.append(path)
+            yield from ((f"{name}.code", f"{code}\n"), (f"{name}.err", stderr), (f"{name}.out", stdout))
+
+
+def snapshot(out_dir: Path, commands: list[list[str]] = COMMANDS) -> list[Path]:
+    """Write every output to a file of its name in out_dir; return the paths
+    written."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, text in outputs(commands):
+        path = out_dir / name
+        path.write_text(text, encoding="utf-8", newline="")
+        written.append(path)
     return written
 
 
+def digest(commands: list[list[str]] = COMMANDS) -> dict:
+    """The environment and the sha256 of every output, by name."""
+    import numpy
+
+    from circulant_mub.__main__ import _THREAD_VARIABLES
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    environment = {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "threads": {name: os.environ[name] for name in _THREAD_VARIABLES if name in os.environ},
+    }
+    sha256 = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in outputs(commands)}
+    return {"environment": environment, "sha256": sha256}
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    digest_mode = len(argv) == 2 and argv[0] == "--digest"
+    if not digest_mode and (len(argv) != 1 or argv[0].startswith("-")):
         print(__doc__, file=sys.stderr)
         return 2
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
-    written = snapshot(Path(argv[0]))
-    print(f"wrote {len(written)} files to {argv[0]}")
+    from circulant_mub.__main__ import _THREAD_VARIABLES  # loads no numpy
+
+    # OpenBLAS reads the thread variables once, when numpy loads
+    if not any(name in os.environ for name in _THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if digest_mode:
+        result = digest()
+        Path(argv[1]).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote the sha256 of {len(result['sha256'])} outputs to {argv[1]}")
+    else:
+        written = snapshot(Path(argv[0]))
+        print(f"wrote {len(written)} files to {argv[0]}")
     return 0
 
 
