@@ -17,9 +17,12 @@ asks its recipe which claim the dimension class adds.  A record is a plain dict
 (check, case, passed, deviation, tolerance, detail, elapsed_s); _bounded
 holds the one pass rule, deviation <= tolerance, and passed is None on an
 informational record (gauss identity probes each --l not coprime with d this
-way).  _run times each check in turn and sorts the records
-by (check, case), so reports are deterministic.  main() then puts the report
-together once, as one plain mub-report/1 dict (config, records, summary and,
+way).  A family's pair verdicts stay one pair table (its UnbiasednessReport)
+while the checks run; every renderer reads the records through _records, which
+expands each table one pair-unbiased record at a time.  _run times each check
+in turn and sorts records and tables by (check, case), so reports are
+deterministic.  main() then puts the report together once, as one plain
+mub-report/1 dict (config, records, summary and,
 for build, the MubFamily itself), and the json, text and csv renderers write
 that dict straight into the --output file or stdout, which is opened before
 any check runs.  json and text scale each member only as they write it
@@ -128,12 +131,31 @@ def case_text(record: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in record["case"].items())
 
 
+def _records(records: list[dict]):
+    """Each record in turn, with every pair table expanded, in pair-label order,
+    into the pair-unbiased records _bounded makes, stamped with its elapsed_s."""
+    for record in records:
+        if "table" not in record:
+            yield record
+            continue
+        labels = (f"{label_a}|{label_b}" for label_a, label_b in record["table"].pairs)
+        for pair, deviation in sorted(zip(labels, record["table"].deviations.tolist()), key=lambda item: item[0]):
+            expanded = _bounded(record["check"], {**record["case"], "pair": pair}, deviation, record["tolerance"])
+            expanded["elapsed_s"] = record["elapsed_s"]
+            yield expanded
+
+
 def _summary(records: list[dict]) -> dict:
+    """Counts over _records(records); a pair table counts deviation <= tolerance
+    (NaN fails) over its deviation array and makes no record."""
+    verdicts = [r["passed"] for r in records if "table" not in r]
+    within = [r["table"].deviations <= r["tolerance"] for r in records if "table" in r]
+    pairs, passed = sum(w.size for w in within), sum(int(w.sum()) for w in within)
     return {
-        "total": len(records),
-        "passed": sum(1 for r in records if r["passed"] is True),
-        "failed": sum(1 for r in records if r["passed"] is False),
-        "informational": sum(1 for r in records if r["passed"] is None),
+        "total": len(verdicts) + pairs,
+        "passed": sum(v is True for v in verdicts) + passed,
+        "failed": sum(v is False for v in verdicts) + pairs - passed,
+        "informational": sum(v is None for v in verdicts),
     }
 
 
@@ -226,7 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _family_records(d: int, tol: float, payload: dict) -> list[dict]:
-    """Build the family of dimension d, put it into payload and verify it at the scaled tol."""
+    """Build the family of dimension d, put it into payload and verify it at the scaled
+    tol: its family-size record, and its pair table for _records to expand."""
     family = payload["family"] = build_family(d)
     if family.recipe in (Recipe.D_TWO, Recipe.EVEN):
         expected = 3
@@ -235,11 +258,8 @@ def _family_records(d: int, tol: float, payload: dict) -> list[dict]:
     else:
         expected = smallest_nontrivial_divisor(d) + 1
     detail = f"recipe={family.recipe.value} bases={len(family.bases)} expected={expected}"
-    records = [_record("family-size", {"d": d}, len(family.bases) == expected, detail=detail)]
-    report = verify_family(family, tol)
-    for (label_a, label_b), deviation in zip(report.pairs, report.deviations.tolist()):
-        records.append(_bounded("pair-unbiased", {"d": d, "pair": f"{label_a}|{label_b}"}, deviation, tol))
-    return records
+    table = {"check": "pair-unbiased", "case": {"d": d}, "tolerance": tol, "table": verify_family(family, tol)}
+    return [_record("family-size", {"d": d}, len(family.bases) == expected, detail=detail), table]
 
 
 def _verify_check(d: int, tol: float) -> list[dict]:
@@ -469,8 +489,9 @@ def _plan(args, base_tol: float) -> tuple[list, dict]:
 
 
 def _run(checks: list) -> list[dict]:
-    """Run the checks in turn; stamp every record with the wall time of the
-    check that produced it and sort by (check, case)."""
+    """Run the checks in turn; stamp every record and pair table with the wall
+    time of the check that produced it and sort by (check, case): a pair table
+    sorts under (pair-unbiased, d), and _records expands it in pair-label order."""
     records = []
     for check in checks:
         started = time.perf_counter()
@@ -487,34 +508,31 @@ def _run(checks: list) -> list[dict]:
 # output
 
 
-def _render_text(doc: dict) -> str:
-    lines = [
-        f"schema={doc['schema']} version={doc['version']} command={doc['command']}",
-        "config: " + " ".join(f"{k}={v}" for k, v in doc["config"].items() if v is not None),
-    ]
+def _render_text(doc: dict, handle) -> None:
+    """Write the text report into handle one line at a time."""
+    write = handle.write
+    write(f"schema={doc['schema']} version={doc['version']} command={doc['command']}\n")
+    write("config: " + " ".join(f"{k}={v}" for k, v in doc["config"].items() if v is not None) + "\n")
     if "family" in doc:
         fam = _family_payload(doc["family"])
-        lines.append(f"family: d={fam['dimension']} recipe={fam['recipe']} bases={len(doc['family'].bases)}")
+        write(f"family: d={fam['dimension']} recipe={fam['recipe']} bases={len(doc['family'].bases)}\n")
         for basis in fam["bases"]:
-            lines.append(f"  {basis['label']} (scale {basis['scale']:.9g}):")
+            write(f"  {basis['label']} (scale {basis['scale']:.9g}):\n")
             body = np.array2string(as_matrix(basis["entries"]), precision=6, suppress_small=True, max_line_width=120)
-            lines.extend("    " + line for line in body.splitlines())
+            write("".join(f"    {line}\n" for line in body.splitlines()))
     if doc["records"]:
-        lines.append(f"{'status':6} {'check':38} {'case':24} {'deviation':>12} {'tolerance':>12}")
-        for r in doc["records"]:
+        write(f"{'status':6} {'check':38} {'case':24} {'deviation':>12} {'tolerance':>12}\n")
+        for r in _records(doc["records"]):
             status = "pass" if r["passed"] else "FAIL" if r["passed"] is False else "info"
             dev = f"{r['deviation']:.3e}" if r["deviation"] is not None else "-"
             tol = f"{r['tolerance']:.3e}" if r["tolerance"] is not None else "-"
-            line = f"{status:6} {r['check']:38} {case_text(r):24} {dev:>12} {tol:>12}"
-            if r["detail"]:
-                line += f"  {r['detail']}"
-            lines.append(line)
+            detail = f"  {r['detail']}" if r["detail"] else ""
+            write(f"{status:6} {r['check']:38} {case_text(r):24} {dev:>12} {tol:>12}{detail}\n")
     s = doc["summary"]
-    lines.append(
+    write(
         f"summary: {s['total']} checks | {s['passed']} passed | {s['failed']} failed | "
-        f"{s['informational']} informational | {doc['elapsed_s']:.2f}s"
+        f"{s['informational']} informational | {doc['elapsed_s']:.2f}s\n"
     )
-    return "\n".join(lines) + "\n"
 
 
 def _render_csv(doc: dict, handle) -> None:
@@ -531,7 +549,7 @@ def _render_csv(doc: dict, handle) -> None:
             handle.write(f"{label}," + f"\r\n{label},".join(rows) + "\r\n")
     else:
         writer.writerow(["check", "case", "passed", "deviation", "tolerance", "elapsed_s", "detail"])
-        for r in doc["records"]:
+        for r in _records(doc["records"]):
             writer.writerow(
                 [
                     r["check"],
@@ -655,7 +673,8 @@ def _write_json(value, write, level: int = 0) -> None:
             _write_json(item, write, level + 1)
             separator = "," + inner
     else:
-        for text in map(_record_text(level + 1), value) if isinstance(value, list) else _matrix_rows(value, level):
+        texts = map(_record_text(level + 1), _records(value)) if isinstance(value, list) else _matrix_rows(value, level)
+        for text in texts:
             write(separator + text)
             separator = "," + inner
     write(opening + closing if separator[0] == opening else "\n" + _INDENT * level + closing)  # {} or [] if empty
@@ -682,7 +701,7 @@ def _emit(doc: dict, handle) -> None:
     elif fmt == "csv":
         _render_csv(doc, handle)
     else:
-        handle.write(_render_text(doc))
+        _render_text(doc, handle)
 
 
 def main(argv: list[str] | None = None) -> int:

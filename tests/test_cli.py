@@ -168,10 +168,31 @@ def test_run_orders_records_as_the_per_item_sort_key(argv):
     # within one check every case has the same keys and value types, so the
     # case values compare as they are; a shuffle before the oracle's stable
     # sort also fails the test where the oracle would leave a tie
+    # the oracle runs over the expanded records, so it also orders the pair
+    # records inside each pair table
     checks, _ = cli._plan(cli._build_parser().parse_args(argv), cli.DEFAULT_TOL_BASE)
-    records = cli._run(checks)
+    records = list(cli._records(cli._run(checks)))
     assert len(records) > 1
     assert sorted(random.Random(0).sample(records, len(records)), key=sort_key) == records
+
+
+def test_verify_holds_one_pair_table_per_family_until_the_report_is_written():
+    # the 25,021 pair verdicts of 61..97 stay in 37 deviation arrays while the
+    # checks run; only the renderers expand them, one record at a time
+    checks, _ = cli._plan(cli._build_parser().parse_args(["verify", "--dims", "61..97"]), cli.DEFAULT_TOL_BASE)
+    held = cli._run(checks)
+    tables = [r for r in held if r["check"] == "pair-unbiased"]
+    assert [r["case"] for r in tables] == [{"d": d} for d in range(61, 98)]
+    records = list(cli._records(held))
+    pairs = [r for r in records if r["check"] == "pair-unbiased"]
+    assert len(pairs) == 25_021
+    assert len(records) - len(pairs) == len(held) - len(tables)
+    assert cli._summary(held) == {
+        "total": len(records),
+        "passed": sum(r["passed"] is True for r in records),
+        "failed": sum(r["passed"] is False for r in records),
+        "informational": sum(r["passed"] is None for r in records),
+    }
 
 
 def test_build_rejects_dimension_one(capsys):
@@ -581,6 +602,11 @@ def report_doc(monkeypatch, argv):
     return docs[0]
 
 
+def expanded(doc):
+    """The report dict with its records expanded as the renderers read them."""
+    return {**doc, "records": list(cli._records(doc["records"]))}
+
+
 def json_dump_default(obj):
     """The json.dump hook the streaming writer replaced: the oracle's half.
     Each member goes through the dense path of _matrix_payload, never through
@@ -610,7 +636,7 @@ def json_dump_default(obj):
 def test_json_writer_matches_json_dump(monkeypatch, argv):
     doc = report_doc(monkeypatch, argv + ["--format", "json"])
     expected = io.StringIO()
-    json.dump(doc, expected, indent=2, default=json_dump_default)
+    json.dump(expanded(doc), expected, indent=2, default=json_dump_default)
     expected.write("\n")
     written = io.StringIO()
     cli._emit(doc, written)
@@ -625,12 +651,13 @@ def test_json_writer_streams_one_matrix_row_or_record_at_a_time(monkeypatch):
         doc = report_doc(monkeypatch, argv + ["--format", "json"])
         chunks = []
         cli._write_json(doc, chunks.append)
-        assert_same_text("".join(chunks), json.dumps(doc, indent=2, default=json_dump_default))
+        full = expanded(doc)
+        assert_same_text("".join(chunks), json.dumps(full, indent=2, default=json_dump_default))
         # no write holds more than one matrix row or one record
         assert max(chunk.count(row_start) for chunk in chunks) <= 1
         assert max(chunk.count('"check": ') for chunk in chunks) <= 1
         assert sum(chunk.count(row_start) for chunk in chunks) == rows
-        assert sum(chunk.count('"check": ') for chunk in chunks) == len(doc["records"])
+        assert sum(chunk.count('"check": ') for chunk in chunks) == len(full["records"])
 
 
 def test_record_keys_are_the_json_template_keys():

@@ -1,14 +1,17 @@
 """Property tests: the int64 exponent arithmetic against Python-int formulas,
 reciprocity against the direct Gauss sum on random parameters, every Gauss
 sum path against a 30-digit mpmath oracle, the matrix <-> sequence
-equivalence for rotation powers, and the streaming json writer against
-json.dump."""
+equivalence for rotation powers, the streaming json writer against
+json.dump, and the pair-table expansion against the per-pair loop it
+replaced."""
 
 import cmath
 import io
 import json
 import math
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -26,7 +29,7 @@ from circulant_mub import (
     square_phase,
     triangular_phase,
 )
-from circulant_mub import cli, gauss
+from circulant_mub import cli, gauss, mub
 from circulant_mub.gauss import _direct, _one_step, _quarter_phase
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=100)
@@ -287,3 +290,73 @@ def test_json_writer_matches_json_dump_on_record_shaped_dicts(records):
         written = io.StringIO()
         cli._write_json(doc, written.write)
         assert written.getvalue() == expected.getvalue()
+
+
+def per_pair_records(d, tol, report, elapsed_s):
+    """The pair-unbiased records of one family as the CLI made them before pair
+    tables, one _bounded dict per pair, stamped as _run stamps them: with
+    run_order's sort, the oracle of cli._records."""
+    records = []
+    for (label_a, label_b), deviation in zip(report.pairs, report.deviations.tolist()):
+        records.append(cli._bounded("pair-unbiased", {"d": d, "pair": f"{label_a}|{label_b}"}, deviation, tol))
+    for record in records:
+        record["elapsed_s"] = elapsed_s
+    return records
+
+
+def run_order(record):
+    return record["check"], *record["case"].values()
+
+
+# labels whose pair texts sort apart from their tuples ("R^2|F" before "R|F",
+# though ("R", "F") < ("R^2", "F")), and a "|" that makes two label pairs one text
+pair_label = st.sampled_from(["I", "F", "Y", "R", "R^2", "R^9", "R^10", "|", "\u00e9"])
+
+
+@st.composite
+def pair_reports(draw):
+    """{d: (tolerance, UnbiasednessReport)} for a few dimensions, with
+    deviations at, just past and just inside the tolerance, NaN, -0.0 and the
+    infinities among any other float."""
+    reports = {}
+    for d in draw(st.lists(st.integers(2, 9), unique=True, max_size=3)):
+        tol = draw(st.sampled_from([1e-9 * math.sqrt(d), 5e-324]) | st.floats(0.0, 1e300))
+        edge = [tol, math.nextafter(tol, math.inf), math.nextafter(tol, 0.0), math.nan, -0.0, 0.0, math.inf, -math.inf]
+        size = draw(st.integers(0, 8))
+        pairs = tuple(draw(st.lists(st.tuples(pair_label, pair_label), min_size=size, max_size=size)))
+        values = draw(st.lists(st.sampled_from(edge) | st.floats(), min_size=size, max_size=size))
+        deviations = np.array(values, dtype=np.float64)
+        deviations.setflags(write=False)
+        reports[d] = tol, mub.UnbiasednessReport(pairs, deviations, bool(np.all(deviations <= tol)))
+    return reports
+
+
+@PROPERTY
+@given(reports=pair_reports())
+def test_pair_tables_expand_as_the_per_pair_loop_and_count_without_it(reports):
+    def verify_family(family, tol):
+        return reports[family.dimension][1]
+
+    with mock.patch.object(cli, "verify_family", verify_family):
+        held = cli._run([partial(cli._family_records, d, tol, {}) for d, (tol, _) in reports.items()])
+    elapsed = {r["case"]["d"]: r["elapsed_s"] for r in held}
+    expected = [r for r in held if r["check"] != "pair-unbiased"]
+    for d, (tol, report) in reports.items():
+        expected += per_pair_records(d, tol, report, elapsed[d])
+    expected.sort(key=run_order)
+    records = list(cli._records(held))
+    assert repr(records) == repr(expected)  # repr keeps -0.0 apart from 0.0 and compares NaN
+    assert cli._summary(held) == {
+        "total": len(expected),
+        "passed": sum(r["passed"] is True for r in expected),
+        "failed": sum(r["passed"] is False for r in expected),
+        "informational": sum(r["passed"] is None for r in expected),
+    }
+    # every renderer writes the held records as it writes the expanded ones
+    for fmt in ("json", "text", "csv"):
+        doc = {"schema": cli.SCHEMA, "version": "0", "command": "verify", "config": {"format": fmt}}
+        doc.update(summary=cli._summary(held), elapsed_s=0.0)
+        written, oracle = io.StringIO(), io.StringIO()
+        cli._emit({**doc, "records": held}, written)
+        cli._emit({**doc, "records": expected}, oracle)
+        assert written.getvalue() == oracle.getvalue()
