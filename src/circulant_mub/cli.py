@@ -30,8 +30,9 @@ any check runs.  json and text scale each member only as they write it
 writes only what a report holds: scalars, flat dicts of scalars, the records,
 the family and its matrices.  It emits the bytes of json.dump(doc, indent=2)
 one top-level key, record and matrix row at a time, fills each record and its
-case into one template of encoded keys, and formats a circulant member from
-its first column.
+case into one template of encoded keys (a pair table fills it once, and each of
+its pairs only with its pair text, verdict and deviation), and formats a
+circulant member from its first column.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error
 (a bad argument or an --output path that cannot be opened), 3 internal error
 (an unexpected exception, reported with its traceback on stderr).
@@ -131,6 +132,13 @@ def case_text(record: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in record["case"].items())
 
 
+def _pair_order(table) -> tuple[list[str], list[int]]:
+    """The pair texts (A|B) of a pair table, and the indices that put them in
+    order; the sort is stable, so equal texts keep family order."""
+    labels = [f"{label_a}|{label_b}" for label_a, label_b in table.pairs]
+    return labels, sorted(range(len(labels)), key=labels.__getitem__)
+
+
 def _records(records: list[dict]):
     """Each record in turn, with every pair table expanded, in pair-label order,
     into the pair-unbiased records _bounded makes, stamped with its elapsed_s."""
@@ -138,9 +146,11 @@ def _records(records: list[dict]):
         if "table" not in record:
             yield record
             continue
-        labels = (f"{label_a}|{label_b}" for label_a, label_b in record["table"].pairs)
-        for pair, deviation in sorted(zip(labels, record["table"].deviations.tolist()), key=lambda item: item[0]):
-            expanded = _bounded(record["check"], {**record["case"], "pair": pair}, deviation, record["tolerance"])
+        labels, order = _pair_order(record["table"])
+        deviations = record["table"].deviations.tolist()
+        for index in order:
+            case = {**record["case"], "pair": labels[index]}
+            expanded = _bounded(record["check"], case, deviations[index], record["tolerance"])
             expanded["elapsed_s"] = record["elapsed_s"]
             yield expanded
 
@@ -606,54 +616,48 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 _RECORD_KEYS = tuple(_record("", {}, None))
 
 
-def _float_text(value, previous: list) -> str:
-    """_json_text(value) for one record field; previous holds [value, text] of
-    the same field in the last record.  A nonzero value of exactly type float
-    that equals the previous one reuses its text: equal nonzero floats have
-    equal bits, so -0.0 never aliases 0.0, and 1 or True never alias 1.0."""
-    if type(value) is not float:
-        return _json_text(value)
-    if value and value == previous[0]:
-        return previous[1]
-    text = _json_text(value)
-    previous[:] = value, text
-    return text
-
-
-def _record_text(level: int):
-    """A function of one _record dict that returns json.dump(record, indent=2)
-    at nesting depth level: one template of the encoded record keys, filled with
-    check and detail (strs), passed (True, False or None) and the case, a flat
-    dict of ints and strs joined with its encoded keys ({} when empty).  A float
-    field reuses the last record's text while its value repeats (_run sorts)."""
+def _record_texts(records: list[dict], level: int):
+    """json.dump(record, indent=2) at nesting depth level for each record of
+    _records(records), one text per record: one template of the encoded record
+    keys, filled with check and detail (strs), passed (True, False or None), the
+    floats and the case, a flat dict of ints and strs joined with its encoded
+    keys ({} when empty).  A pair table fills the template once with all but
+    the pair text, passed and the deviation, so each pair costs one %."""
     inner = "\n" + _INDENT * (level + 1)
     template = ",".join(f"{inner}{encode_basestring_ascii(k)}: %s" for k in _RECORD_KEYS)
     template = "{" + template + "\n" + _INDENT * level + "}"
     field = "\n" + _INDENT * (level + 2)
-    deviations, tolerances, elapsed = [0.0, ""], [0.0, ""], [0.0, ""]
 
-    def text(record: dict) -> str:
-        check, case, passed, deviation, tolerance, detail, elapsed_s = record.values()
-        fields = f",{field}".join(f"{encode_basestring_ascii(k)}: {_json_text(v)}" for k, v in case.items())
-        return template % (
-            encode_basestring_ascii(check),
-            "{" + field + fields + inner + "}" if case else "{}",
-            _LITERALS[passed],
-            _float_text(deviation, deviations),
-            _float_text(tolerance, tolerances),
-            encode_basestring_ascii(detail),
-            _float_text(elapsed_s, elapsed),
-        )
+    def case_text(fields: list[str]) -> str:
+        return "{" + field + f",{field}".join(fields) + inner + "}" if fields else "{}"
 
-    return text
+    for record in records:
+        fields = [f"{encode_basestring_ascii(k)}: {_json_text(v)}" for k, v in record["case"].items()]
+        if "table" not in record:
+            check, _, passed, *texts = record.values()  # then deviation, tolerance, detail and elapsed_s
+            yield template % (_json_text(check), case_text(fields), _LITERALS[passed], *map(_json_text, texts))
+            continue
+        # fill in all but the pair text, passed and the deviation, escaped so
+        # that only the three %s left open are read; detail is _bounded's ""
+        table, tolerance = record["table"], record["tolerance"]
+        check, *fields = (text.replace("%", "%%") for text in (encode_basestring_ascii(record["check"]), *fields))
+        case, elapsed_s = case_text([*fields, '"pair": %s']), _json_text(record["elapsed_s"])
+        filled = template % (check, case, "%s", "%s", _json_text(tolerance), _json_text(""), elapsed_s)
+        labels, order = _pair_order(table)
+        deviations = table.deviations.tolist()
+        float_text = float.__repr__ if np.isfinite(table.deviations).all() else _json_text
+        for index in order:
+            deviation = deviations[index]
+            passed = _LITERALS[deviation <= tolerance]
+            yield filled % (encode_basestring_ascii(labels[index]), passed, float_text(deviation))
 
 
 def _write_json(value, write, level: int = 0) -> None:
     """Write the report, or its value at nesting depth level, as json.dump(value,
     indent=2) does, never as one string.  Besides scalars it writes a dict one
     key at a time, the family (a MubFamily, as its payload) one member of its
-    generator at a time, the records list one _record at a time through
-    _record_text, and a complex matrix (2-D, non-empty) one row at a time."""
+    generator at a time, the records list one record at a time through
+    _record_texts, and a complex matrix (2-D, non-empty) one row at a time."""
     if isinstance(value, MubFamily):
         value = _family_payload(value)
     if not isinstance(value, (dict, GeneratorType, list, np.ndarray, CirculantMatrix)):
@@ -673,7 +677,7 @@ def _write_json(value, write, level: int = 0) -> None:
             _write_json(item, write, level + 1)
             separator = "," + inner
     else:
-        texts = map(_record_text(level + 1), _records(value)) if isinstance(value, list) else _matrix_rows(value, level)
+        texts = _record_texts(value, level + 1) if isinstance(value, list) else _matrix_rows(value, level)
         for text in texts:
             write(separator + text)
             separator = "," + inner

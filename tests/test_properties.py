@@ -309,8 +309,9 @@ def run_order(record):
 
 
 # labels whose pair texts sort apart from their tuples ("R^2|F" before "R|F",
-# though ("R", "F") < ("R^2", "F")), and a "|" that makes two label pairs one text
-pair_label = st.sampled_from(["I", "F", "Y", "R", "R^2", "R^9", "R^10", "|", "\u00e9"])
+# though ("R", "F") < ("R^2", "F")), a "|" that makes two label pairs one text,
+# and a "%" and a "{" that the json writer's filled pair template must not read
+pair_label = st.sampled_from(["I", "F", "Y", "R", "R^2", "R^9", "R^10", "|", "\u00e9", "%", "%s", "{"])
 
 
 @st.composite
