@@ -306,8 +306,13 @@ def _circulant_hadamard_deviation(columns: np.ndarray, spectra: np.ndarray) -> n
     C* C - I."""
     gram = np.fft.ifft(np.abs(spectra) ** 2, axis=-1)
     gram[..., 0] -= 1.0
-    modulus = np.abs(np.abs(columns) - 1.0 / math.sqrt(columns.shape[-1])).max(axis=-1)
-    return np.maximum(np.abs(gram).max(axis=-1), modulus)
+    return np.maximum(np.abs(gram).max(axis=-1), _modulus_deviation(columns))
+
+
+def _modulus_deviation(columns: np.ndarray) -> np.ndarray:
+    """is_unitary_hadamard's entry-modulus defect, max ||entry| - d**-0.5|, of
+    each circulant given by its first column, one per row."""
+    return np.abs(np.abs(columns) - 1.0 / math.sqrt(columns.shape[-1])).max(axis=-1)
 
 
 def circulant_deviation(m) -> float:

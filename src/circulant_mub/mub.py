@@ -19,7 +19,11 @@ and of the type only build_fourier returns.  The verifier never trusts the
 construction: for each pair it measures the two defects of
 is_unitary_hadamard on A* B, the worst entry of |Gram - I| and of ||entry| -
 d**-0.5|.  For two circulants A* B is the circulant of spectrum conj(s_a)
-s_b, so both defects are read off first columns in O(d log d).  F
+s_b, so its entry moduli are read off its first column in O(d log d).  Its
+Gram - I has first column g_a + g_b + ifft(u_a u_b), with u = |s|**2 - 1 and
+g = ifft(u) transformed once per member; the last term is bounded entrywise
+by w_a w_b, w = max |u|, which is added instead (below 5.6e-24 for a built
+family), unless it exceeds 1e-18, when that term is transformed too.  F
 diagonalises every circulant, F* C = diag(s) F* for C of spectrum s, so a
 pair of F with a circulant is read from s as well, plus F's own defect,
 measured once: such a record measures C's spectrum, not the floating-point
@@ -51,6 +55,7 @@ from .linalg import (
     _check_tolerance,
     _circulant_hadamard_deviation,
     _freeze,
+    _modulus_deviation,
     _tolerance,
     adjoint,
     build_clock,
@@ -70,6 +75,12 @@ from .linalg import (
     rotation_scalar,
 )
 from .phase_ring import _check_dimension, root_table
+
+
+# the largest w_a w_b that verify_family adds to a circulant pair's Gram value as
+# a bound on its cross term; a built family's pairs stay below 5.6e-24 for
+# every d <= 509, so only a skewed member's cross term is transformed
+_CROSS_TERM_LIMIT = 1e-18
 
 
 class Recipe(str, Enum):
@@ -138,53 +149,72 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
 
     For each unordered pair (A, B) the deviation is is_unitary_hadamard's on
     A* B: the worse of max |Gram - I| and max ||entry| - d**-0.5|.  Two
-    circulants: from first columns and spectra, one row of pairs at a time.
-    The F of build_fourier (a FourierMatrix, never a member picked by its
-    label) and a circulant C of spectrum s: F* C = diag(s) F* and C* F =
-    F diag(conj(s)) both have entry moduli |s| d**-0.5, and Grams C* C and
-    diag(|s|**2), so the pair is read from s and maxed with F's own
-    is_unitary_hadamard defect, measured once.  Such a record measures C's
-    spectrum plus F's own defect, not the floating-point product F* C; the
-    fourier-diagonalizes-shift identity is what ties F to the DFT.  Any other
-    pair with a dense member: is_unitary_hadamard on the dense product.
-    Pairs against the identity therefore re-check that each other member is
-    itself unitary Hadamard (I|F is F's own defect).
+    circulants: one row of pairs at a time.  The entry moduli are read off the
+    first column ifft(conj(s_a) s_b) of A* B.  Its Gram is the circulant of
+    spectrum |s_a|**2 |s_b|**2, so with u = |s|**2 - 1 and g = ifft(u) per
+    member (one batch per family) the first column of Gram - I is g_a + g_b +
+    ifft(u_a u_b).  Each entry of that last term is at most w_a w_b, w =
+    max |u|, so the Gram value is max |g_a + g_b| + w_a w_b, an upper bound;
+    where w_a w_b exceeds _CROSS_TERM_LIMIT (a skewed member, never a built
+    family) ifft(u_a u_b) is transformed instead.  The F of build_fourier (a
+    FourierMatrix, never a member picked by its label) and a circulant C of
+    spectrum s: F* C = diag(s) F* and C* F = F diag(conj(s)) both have entry
+    moduli |s| d**-0.5, and Grams C* C and diag(|s|**2), so the pair is read
+    from s, g and w and maxed with F's own is_unitary_hadamard defect,
+    measured once.  Such a record measures C's spectrum plus F's own defect,
+    not the floating-point product F* C; the fourier-diagonalizes-shift
+    identity is what ties F to the DFT.  Any other pair with a dense member:
+    is_unitary_hadamard on the dense product.  Pairs against the identity
+    therefore re-check that each other member is itself unitary Hadamard (I|F
+    is F's own defect).
     """
-    tol = _tolerance(family.dimension, tol)
-    root_d = math.sqrt(family.dimension)
+    d = family.dimension
+    tol = _tolerance(d, tol)
+    root_d = math.sqrt(d)
     members = [basis for _, basis in family.bases]
-    spectra = [diagonalize_circulant(b) if isinstance(b, CirculantMatrix) else None for b in members]
+    n = len(members)
+    # row of each circulant member in the spectral arrays
+    row = {i: r for r, i in enumerate(i for i, b in enumerate(members) if isinstance(b, CirculantMatrix))}
+    spectra = np.array([diagonalize_circulant(members[i]) for i in row], dtype=np.complex128).reshape(len(row), d)
+    excess = np.abs(spectra) ** 2 - 1.0  # u
+    grams = np.fft.ifft(excess, axis=-1)  # g, the first column of C* C - I
+    bounds = np.abs(excess).max(axis=-1)  # w
     own = [is_unitary_hadamard(b, tol).deviation if isinstance(b, FourierMatrix) else None for b in members]
-    pairs, values = [], []
-    for i, (label_a, a) in enumerate(family.bases):
-        later = range(i + 1, len(members))
-        deviations = {}
-        circulants = [j for j in later if spectra[j] is not None]
-        if circulants and spectra[i] is not None:
+    table = np.zeros((n, n))  # pair (i, j), i < j, in the upper triangle
+    for i, a in enumerate(members):
+        later = range(i + 1, n)
+        circulants = [j for j in later if j in row] if i in row or own[i] is not None else []
+        others = slice(len(row) - len(circulants), None)  # their spectral rows, the last ones
+        if circulants and i in row:
             # A* B is the circulant of spectrum conj(s_a) s_b: the whole row at once
-            product = np.conj(spectra[i]) * np.array([spectra[j] for j in circulants])
-            row = _circulant_hadamard_deviation(np.fft.ifft(product, axis=-1), product)
-            deviations = dict(zip(circulants, row.tolist()))
-        elif circulants and own[i] is not None:
+            r = row[i]
+            columns = np.fft.ifft(np.conj(spectra[r]) * spectra[others], axis=-1)
+            gram, cross = grams[r] + grams[others], bounds[r] * bounds[others]
+            skewed = cross > _CROSS_TERM_LIMIT
+            if skewed.any():
+                gram[skewed] += np.fft.ifft(excess[r] * excess[others][skewed], axis=-1)
+                cross[skewed] = 0.0
+            table[i, circulants] = np.maximum(np.abs(gram).max(axis=-1) + cross, _modulus_deviation(columns))
+        elif circulants:
             # F* C = diag(s) F*: entry moduli |s| d**-0.5, Gram C* C of spectrum |s|**2
-            stacked = np.array([spectra[j] for j in circulants])
-            row = np.maximum(own[i], _circulant_hadamard_deviation(stacked / root_d, stacked))
-            deviations = dict(zip(circulants, row.tolist()))
-        if spectra[i] is not None:
+            gram = np.abs(grams[others]).max(axis=-1)
+            table[i, circulants] = np.maximum(own[i], np.maximum(gram, _modulus_deviation(spectra[others] / root_d)))
+        fourier = [j for j in later if own[j] is not None] if i in row else []
+        if fourier:
             # C* F = F diag(conj(s)): entry moduli |s| d**-0.5, Gram diag(|s|**2)
-            moduli = np.abs(spectra[i])
-            defect = max(float(np.abs(moduli**2 - 1.0).max()), float(np.abs(moduli - 1.0).max()) / root_d)
-            deviations.update((j, max(own[j], defect)) for j in later if own[j] is not None)
-        dense = [j for j in later if j not in deviations]
+            defect = max(bounds[row[i]], float(np.abs(np.abs(spectra[row[i]]) - 1.0).max()) / root_d)
+            table[i, fourier] = np.maximum([own[j] for j in fourier], defect)
+        spectral = {*circulants, *fourier}
+        dense = [j for j in later if j not in spectral]
         if dense:
             a_adj = adjoint(a)  # once per row, and never for a row the spectra cover
             for j in dense:
-                deviations[j] = is_unitary_hadamard(multiply(a_adj, members[j]), tol).deviation
-        pairs.extend((label_a, family.bases[j][0]) for j in later)
-        values.extend(deviations[j] for j in later)
-    values = np.array(values, dtype=np.float64)
+                table[i, j] = is_unitary_hadamard(multiply(a_adj, members[j]), tol).deviation
+    labels = [label for label, _ in family.bases]
+    pairs = tuple((label_a, label_b) for i, label_a in enumerate(labels) for label_b in labels[i + 1 :])
+    values = table[np.triu_indices(n, 1)]
     values.setflags(write=False)
-    return UnbiasednessReport(pairs=tuple(pairs), deviations=values, passed=bool((values <= tol).all()))
+    return UnbiasednessReport(pairs=pairs, deviations=values, passed=bool((values <= tol).all()))
 
 
 @dataclass(frozen=True)
@@ -211,7 +241,9 @@ def negative_check_even(d: int, tol: float | None = None) -> EvenSquareCheck:
     moduli = np.abs(square)
     unitary = is_unitary(square, tol)
     circulant_dev = circulant_deviation(square)
-    hadamard = is_unitary_hadamard(square, tol)
+    # is_unitary_hadamard's deviation, from the one Gram product is_unitary made
+    hadamard_dev = max(unitary.deviation, float(np.abs(moduli - 1.0 / math.sqrt(d)).max()))
+    hadamard = CheckResult(hadamard_dev <= tol, hadamard_dev)
     return EvenSquareCheck(
         passed=unitary.passed and circulant_dev <= tol and not hadamard.passed,
         unitary=unitary,
@@ -243,11 +275,17 @@ def _identity_rows(d: int):
         # in place, which rounds differently
         yield "rotation-diagonalization", {}, rotation, alpha * multiply(multiply(fourier, diag), fourier_adj).entries
         yield "rotation-clock-conjugation", {}, rotation @ clock @ rotation.conj().T, shift @ clock
-        yield "rotation-order", {}, power(rotation, d).entries, alpha**d * np.eye(d)
-        for k in sorted({1, 2, d - 2, d - 1} & set(range(1, d))):
-            r_k = power(rotation, k).entries
-            yield "rotation-power-clock", {"k": k}, r_k @ clock @ r_k.conj().T, power(shift, k).entries @ clock
-            rhs = alpha**k * (fourier_adj.entries @ power(rotation.conj().T, k).entries @ f2)
+        # one chain of dense powers: R**(d-1) and R**d from R**(d-2); V**-k = (V**k)*
+        # is exact, V being a permutation, and R**-k is read as (R**k)*
+        shift_2, r_d2 = shift @ shift, power(rotation, d - 2).entries
+        r_d1 = r_d2 @ rotation
+        yield "rotation-order", {}, r_d1 @ rotation, alpha**d * np.eye(d)
+        # for d = 3, d - 2 = 1 and d - 1 = 2: the later keys keep R and R**2 themselves
+        chain = {d - 1: (r_d1, shift.conj().T), d - 2: (r_d2, shift_2.conj().T)}
+        chain.update({2: (rotation @ rotation, shift_2), 1: (rotation, shift)})
+        for k, (r_k, shift_k) in sorted(chain.items()):
+            yield "rotation-power-clock", {"k": k}, r_k @ clock @ r_k.conj().T, shift_k @ clock
+            rhs = alpha**k * (fourier_adj.entries @ r_k.conj().T @ f2)
             yield "phased-fourier-identity", {"k": k}, build_phased_fourier(d, k).entries, rhs
 
 

@@ -1049,7 +1049,7 @@ def test_traced_pair_count_is_one_per_pair(monkeypatch):
     assert counters["mub.pairs"] == math.comb(8, 2) == len(report.deviations)
 
 
-def test_report_snapshot_writes_code_stderr_and_stdout_per_format(tmp_path):
+def test_report_snapshot_writes_code_stderr_and_stdout_per_format(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location(
         "report_snapshot", Path(__file__).resolve().parents[1] / "tools" / "report_snapshot.py"
     )
@@ -1076,6 +1076,23 @@ def test_report_snapshot_writes_code_stderr_and_stdout_per_format(tmp_path):
     assert all((tmp_path / "b" / p.name).read_bytes() == p.read_bytes() for p in written)
     # the digest holds the sha256 of each file's bytes
     assert snapshot.digest(commands)["sha256"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    # a digest written over an older one first names the outputs that moved from it
+    path = tmp_path / "digest.json"
+    fresh = snapshot.write_digest(path, commands)
+    assert json.loads(path.read_text(encoding="utf-8")) == fresh and capsys.readouterr().out == ""
+    older = {**fresh["sha256"], "verify_dims_2..3.text.out": "0" * 64, "gone.json.out": "0" * 64}
+    del older["verify_dims_0..3.csv.err"]
+    path.write_text(json.dumps({**fresh, "sha256": older}), encoding="utf-8")
+    assert snapshot.write_digest(path, commands) == fresh
+    assert json.loads(path.read_text(encoding="utf-8")) == fresh
+    assert capsys.readouterr().out.splitlines() == [
+        f"3 of 19 outputs moved from {path}",
+        "  gone.json.out",
+        "  verify_dims_0..3.csv.err",
+        "  verify_dims_2..3.text.out",
+    ]
+    snapshot.write_digest(path, commands)
+    assert capsys.readouterr().out == f"0 of 18 outputs moved from {path}\n"
 
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"

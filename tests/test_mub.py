@@ -23,7 +23,18 @@ from circulant_mub import (
     verify_family,
 )
 from circulant_mub import mub
-from circulant_mub.linalg import FourierMatrix, _circulant_hadamard_deviation, as_matrix
+from circulant_mub.linalg import (
+    FourierMatrix,
+    _circulant_hadamard_deviation,
+    as_matrix,
+    build_clock,
+    build_index_reversal,
+    build_phased_fourier,
+    build_shift,
+    build_triangular_diagonal,
+    power,
+    rotation_scalar,
+)
 from circulant_mub.mub import coprime_power_mismatches, structural_identities
 
 
@@ -200,7 +211,7 @@ def test_structured_verifier_matches_dense_oracle(d):
     _assert_matches_oracle(build_family(d))
 
 
-def test_structured_verifier_matches_dense_oracle_on_biased_families():
+def test_structured_verifier_matches_dense_oracle_on_biased_families(monkeypatch):
     r7 = build_rotation(7)
     r7_dense = DenseUnitary(7, as_matrix(r7))
     i9 = dict(build_family(9).bases)["I"]
@@ -208,6 +219,12 @@ def test_structured_verifier_matches_dense_oracle_on_biased_families():
     rng = np.random.default_rng(0)
     gaussian = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     twice_r7 = CirculantMatrix(7, 2 * r7.first_column)
+    # R's spectrum scaled unevenly, so that |s|**2 - 1 is O(1) and not constant:
+    # the bound w_a w_b on the cross term of A* B's Gram is far above its true size
+    frequencies = 2 * np.pi * np.arange(7) / 7
+    skew_a = CirculantMatrix(7, np.fft.ifft(diagonalize_circulant(r7) * (1 + 0.5 * np.cos(frequencies))))
+    skew_b = CirculantMatrix(7, np.fft.ifft(diagonalize_circulant(r7) * (1 - 0.3 * np.sin(2 * frequencies))))
+    skewed = MubFamily(7, (("I", dict(build_family(7).bases)["I"]), ("A", skew_a), ("B", skew_b)), Recipe.ODD_COMPOSITE)
     families = [
         # two copies of one circulant: R* R = I, as far from Hadamard as it gets
         (7, (("R", r7), ("R'", r7))),
@@ -219,8 +236,16 @@ def test_structured_verifier_matches_dense_oracle_on_biased_families():
         (7, (("R", r7), ("G", DenseUnitary(7, gaussian)), ("2R", twice_r7), ("F", build_fourier(7)))),
     ]
     reports = [_assert_matches_oracle(MubFamily(d, bases, Recipe.ODD_COMPOSITE)) for d, bases in families]
+    reports.append(_assert_matches_oracle(skewed))
     assert not any(report.passed for report in reports)
     assert reports[0].deviations[0] == pytest.approx(1 - 7**-0.5)
+    # A|B transforms its cross term; the bound alone is an upper bound that
+    # misses the dense oracle
+    assert reports[-1].pairs[2] == ("A", "B")
+    monkeypatch.setattr(mub, "_CROSS_TERM_LIMIT", math.inf)
+    bounded = verify_family(skewed).deviations[2]
+    assert bounded - reports[-1].deviations[2] > 1e-14
+    assert bounded >= _dense_oracle(skewed, default_tolerance(7))[2][3]
 
 
 def test_family_members_keep_their_structure():
@@ -311,6 +336,43 @@ def test_structural_identities_hold_within_the_default_tolerance():
                 expected += [("rotation-power-clock", {"d": d, "k": k}), ("phased-fourier-identity", {"d": d, "k": k})]
         assert [(check, case) for check, case, _ in found] == expected
         assert all(deviation <= default_tolerance(d) for _, _, deviation in found), (d, found)
+
+
+def square_and_multiply_rows(d):
+    """structural_identities(d) as each power was once computed, from scratch
+    by linalg.power's square-and-multiply: R**d, and R**k, V**k and (R*)**k
+    for k in {1, 2, d-2, d-1}; an odd prime d only."""
+    omega = np.exp(2j * np.pi / d)
+    fourier = build_fourier(d)
+    fourier_adj = adjoint(fourier)
+    clock, shift = build_clock(d).to_dense(), build_shift(d).to_dense()
+    f2 = multiply(fourier, fourier).entries
+    alpha = rotation_scalar(d)
+    rotation = build_rotation(d).to_dense()
+    diag = build_triangular_diagonal(d)
+    rows = [
+        ("clock-shift-commutation", {}, shift @ clock, omega * (clock @ shift)),
+        ("fourier-diagonalizes-shift", {}, multiply(multiply(fourier_adj, shift), fourier).entries, clock),
+        ("fourier-square-is-reversal", {}, f2, build_index_reversal(d).entries),
+        ("fourier-order-four", {}, f2 @ f2, np.eye(d)),
+        ("rotation-diagonalization", {}, rotation, alpha * multiply(multiply(fourier, diag), fourier_adj).entries),
+        ("rotation-clock-conjugation", {}, rotation @ clock @ rotation.conj().T, shift @ clock),
+        ("rotation-order", {}, power(rotation, d).entries, alpha**d * np.eye(d)),
+    ]
+    for k in sorted({1, 2, d - 2, d - 1}):
+        r_k = power(rotation, k).entries
+        rows.append(("rotation-power-clock", {"k": k}, r_k @ clock @ r_k.conj().T, power(shift, k).entries @ clock))
+        rhs = alpha**k * (fourier_adj.entries @ power(rotation.conj().T, k).entries @ f2)
+        rows.append(("phased-fourier-identity", {"k": k}, build_phased_fourier(d, k).entries, rhs))
+    return [(check, {"d": d, **case}, float(np.abs(lhs - rhs).max())) for check, case, lhs, rhs in rows]
+
+
+@pytest.mark.parametrize("d", [d for d in range(3, 98, 2) if is_prime(d)])
+def test_identity_power_chain_matches_square_and_multiply(d):
+    found, oracle = structural_identities(d), square_and_multiply_rows(d)
+    assert [(check, case) for check, case, _ in found] == [(check, case) for check, case, _ in oracle]
+    for (check, case, deviation), (*_, expected) in zip(found, oracle):
+        assert abs(deviation - expected) <= 1e-15, (check, case, deviation, expected)
 
 
 def power_hadamard_deviations(d):

@@ -13,8 +13,10 @@ tree; `diff -r A B` of two snapshots is then empty exactly when every report,
 message and exit code is byte-identical.  --digest mode writes FILE instead, a
 JSON object of the sha256 of each output (the sha256 of its file) and of the
 environment the reports were made in: Python, numpy, its BLAS and the BLAS
-thread variables.  tools/report_digest.json is this tree's digest, and
-tests/test_cli.py regenerates it and names every output that moved.
+thread variables.  When FILE already exists, the names of the outputs whose
+sha256 moved are printed before FILE is overwritten, so a change that moves
+reports on purpose can list them.  tools/report_digest.json is this tree's
+digest, and tests/test_cli.py regenerates it and names every output that moved.
 
 The tool runs on one OpenBLAS thread unless one of the thread variables is set,
 as python -m circulant_mub does: from d >= 128 the dense identity deviations
@@ -142,6 +144,19 @@ def digest(commands: list[list[str]] = COMMANDS) -> dict:
     return {"environment": environment, "sha256": sha256}
 
 
+def write_digest(path: Path, commands: list[list[str]] = COMMANDS) -> dict:
+    """Write the digest of commands to path; if path held a digest, first print
+    the name of every output whose sha256 moved from it, one per line."""
+    result = digest(commands)
+    if path.exists():
+        before = json.loads(path.read_text(encoding="utf-8"))["sha256"]
+        names = before.keys() | result["sha256"].keys()
+        moved = sorted(name for name in names if before.get(name) != result["sha256"].get(name))
+        print(f"{len(moved)} of {len(names)} outputs moved from {path}" + "".join(f"\n  {name}" for name in moved))
+    path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return result
+
+
 def main(argv: list[str]) -> int:
     digest_mode = len(argv) == 2 and argv[0] == "--digest"
     if not digest_mode and (len(argv) != 1 or argv[0].startswith("-")):
@@ -155,8 +170,7 @@ def main(argv: list[str]) -> int:
     if not any(name in os.environ for name in _THREAD_VARIABLES):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     if digest_mode:
-        result = digest()
-        Path(argv[1]).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+        result = write_digest(Path(argv[1]))
         print(f"wrote the sha256 of {len(result['sha256'])} outputs to {argv[1]}")
     else:
         written = snapshot(Path(argv[0]))
