@@ -637,12 +637,12 @@ def _record_texts(records: list[dict], level: int):
             check, _, passed, *texts = record.values()  # then deviation, tolerance, detail and elapsed_s
             yield template % (_json_text(check), case_text(fields), _LITERALS[passed], *map(_json_text, texts))
             continue
-        # fill in all but the pair text, passed and the deviation, escaped so
-        # that only the three %s left open are read; detail is _bounded's ""
+        # all but the pair text, passed and the deviation; detail is _bounded's "".
+        # A table's check (pair-unbiased) and case ({"d": d}) hold no %, so only
+        # the three %s left open are read
         table, tolerance = record["table"], record["tolerance"]
-        check, *fields = (text.replace("%", "%%") for text in (encode_basestring_ascii(record["check"]), *fields))
         case, elapsed_s = case_text([*fields, '"pair": %s']), _json_text(record["elapsed_s"])
-        filled = template % (check, case, "%s", "%s", _json_text(tolerance), _json_text(""), elapsed_s)
+        filled = template % (_json_text(record["check"]), case, "%s", "%s", _json_text(tolerance), '""', elapsed_s)
         labels, order = _pair_order(table)
         deviations = table.deviations.tolist()
         float_text = float.__repr__ if np.isfinite(table.deviations).all() else _json_text

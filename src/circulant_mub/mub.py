@@ -280,10 +280,12 @@ def _identity_rows(d: int):
         shift_2, r_d2 = shift @ shift, power(rotation, d - 2).entries
         r_d1 = r_d2 @ rotation
         yield "rotation-order", {}, r_d1 @ rotation, alpha**d * np.eye(d)
+        # each row's powers are made as it is reached, so few d x d arrays are alive;
         # for d = 3, d - 2 = 1 and d - 1 = 2: the later keys keep R and R**2 themselves
-        chain = {d - 1: (r_d1, shift.conj().T), d - 2: (r_d2, shift_2.conj().T)}
-        chain.update({2: (rotation @ rotation, shift_2), 1: (rotation, shift)})
-        for k, (r_k, shift_k) in sorted(chain.items()):
+        chain = {d - 1: lambda: (r_d1, shift.conj().T), d - 2: lambda: (r_d2, shift_2.conj().T)}
+        chain.update({2: lambda: (rotation @ rotation, shift_2), 1: lambda: (rotation, shift)})
+        for k, powers in sorted(chain.items()):
+            r_k, shift_k = powers()
             yield "rotation-power-clock", {"k": k}, r_k @ clock @ r_k.conj().T, shift_k @ clock
             rhs = alpha**k * (fourier_adj.entries @ r_k.conj().T @ f2)
             yield "phased-fourier-identity", {"k": k}, build_phased_fourier(d, k).entries, rhs
