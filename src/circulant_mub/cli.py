@@ -14,12 +14,13 @@ cases that disagree.  _plan turns the arguments into checks, one per case:
 plain functions of the case and its final tolerance, which _plan computes,
 that build records from those results.  A verify check builds the family and
 asks its recipe which claim the dimension class adds.  A record is a plain dict
-(check, case, passed, deviation, tolerance, detail, elapsed_s); _bounded
-holds the one pass rule, deviation <= tolerance, and passed is None on an
-informational record (gauss identity probes each --l not coprime with d this
-way).  A family's pair verdicts stay one pair table (its UnbiasednessReport)
-while the checks run; every renderer reads the records through _records, which
-expands each table one pair-unbiased record at a time.  _run times each check
+(check, case, passed, deviation, tolerance, detail, elapsed_s); _within
+holds the one pass rule, deviation <= tolerance, for _bounded's records and
+the pair tables alike, and passed is None on an informational record (gauss
+identity probes each --l not coprime with d this way).  A family's pair
+verdicts stay one pair table (its UnbiasednessReport) while the checks run;
+every renderer reads the records through _records, which expands each table
+one pair-unbiased record at a time.  _run times each check
 in turn and sorts records and tables by (check, case), so reports are
 deterministic.  main() then puts the report together once, as one plain
 mub-report/1 dict (config, records, summary and,
@@ -123,9 +124,15 @@ def _record(check: str, case: dict, passed, deviation=None, tolerance=None, deta
     }
 
 
+def _within(deviation, tolerance):
+    """The one pass rule, deviation <= tolerance (NaN fails), of one deviation
+    or elementwise of an array of them."""
+    return deviation <= tolerance
+
+
 def _bounded(check: str, case: dict, deviation: float, tolerance: float, detail: str = "") -> dict:
     """A record that passes exactly when the deviation is within the tolerance."""
-    return _record(check, case, deviation <= tolerance, deviation, tolerance, detail)
+    return _record(check, case, _within(deviation, tolerance), deviation, tolerance, detail)
 
 
 def case_text(record: dict) -> str:
@@ -156,10 +163,10 @@ def _records(records: list[dict]):
 
 
 def _summary(records: list[dict]) -> dict:
-    """Counts over _records(records); a pair table counts deviation <= tolerance
-    (NaN fails) over its deviation array and makes no record."""
+    """Counts over _records(records); a pair table counts _within over its
+    deviation array and makes no record."""
     verdicts = [r["passed"] for r in records if "table" not in r]
-    within = [r["table"].deviations <= r["tolerance"] for r in records if "table" in r]
+    within = [_within(r["table"].deviations, r["tolerance"]) for r in records if "table" in r]
     pairs, passed = sum(w.size for w in within), sum(int(w.sum()) for w in within)
     return {
         "total": len(verdicts) + pairs,
@@ -621,8 +628,9 @@ def _record_texts(records: list[dict], level: int):
     _records(records), one text per record: one template of the encoded record
     keys, filled with check and detail (strs), passed (True, False or None), the
     floats and the case, a flat dict of ints and strs joined with its encoded
-    keys ({} when empty).  A pair table fills the template once with all but
-    the pair text, passed and the deviation, so each pair costs one %."""
+    keys ({} when empty).  A pair table fills the template once with the
+    fields of the _bounded record its pairs share, all but the pair text,
+    passed and the deviation, so each pair costs one %."""
     inner = "\n" + _INDENT * (level + 1)
     template = ",".join(f"{inner}{encode_basestring_ascii(k)}: %s" for k in _RECORD_KEYS)
     template = "{" + template + "\n" + _INDENT * level + "}"
@@ -637,19 +645,19 @@ def _record_texts(records: list[dict], level: int):
             check, _, passed, *texts = record.values()  # then deviation, tolerance, detail and elapsed_s
             yield template % (_json_text(check), case_text(fields), _LITERALS[passed], *map(_json_text, texts))
             continue
-        # all but the pair text, passed and the deviation; detail is _bounded's "".
-        # A table's check (pair-unbiased) and case ({"d": d}) hold no %, so only
-        # the three %s left open are read
-        table, tolerance = record["table"], record["tolerance"]
-        case, elapsed_s = case_text([*fields, '"pair": %s']), _json_text(record["elapsed_s"])
-        filled = template % (_json_text(record["check"]), case, "%s", "%s", _json_text(tolerance), '""', elapsed_s)
+        # the fields its pairs share, from _bounded; a table's check and case
+        # ({"d": d}) hold no %, so only the three %s left open are read
+        table = record["table"]
+        shared = _bounded(record["check"], record["case"], 0.0, record["tolerance"])
+        shared["elapsed_s"] = record["elapsed_s"]
+        check, _, _, _, *texts = shared.values()  # then tolerance, detail and elapsed_s
+        filled = template % (_json_text(check), case_text([*fields, '"pair": %s']), "%s", "%s", *map(_json_text, texts))
         labels, order = _pair_order(table)
         deviations = table.deviations.tolist()
-        float_text = float.__repr__ if np.isfinite(table.deviations).all() else _json_text
+        passes = _within(table.deviations, record["tolerance"]).tolist()
         for index in order:
-            deviation = deviations[index]
-            passed = _LITERALS[deviation <= tolerance]
-            yield filled % (encode_basestring_ascii(labels[index]), passed, float_text(deviation))
+            pair_text = encode_basestring_ascii(labels[index])
+            yield filled % (pair_text, _LITERALS[passes[index]], _json_text(deviations[index]))
 
 
 def _write_json(value, write, level: int = 0) -> None:

@@ -294,8 +294,7 @@ def is_unitary_hadamard(m, tol: float | None = None) -> CheckResult:
     unitary = is_unitary(mm, tol)  # refuses a non-square matrix and a bad tol
     d = mm.shape[0]
     tol = _tolerance(d, tol)
-    modulus_dev = float(np.abs(np.abs(mm) - 1.0 / math.sqrt(d)).max())
-    deviation = max(unitary.deviation, modulus_dev)
+    deviation = max(unitary.deviation, float(_modulus_deviation(np.abs(mm)).max()))
     return CheckResult(deviation <= tol, deviation)
 
 
@@ -306,13 +305,14 @@ def _circulant_hadamard_deviation(columns: np.ndarray, spectra: np.ndarray) -> n
     C* C - I."""
     gram = np.fft.ifft(np.abs(spectra) ** 2, axis=-1)
     gram[..., 0] -= 1.0
-    return np.maximum(np.abs(gram).max(axis=-1), _modulus_deviation(columns))
+    return np.maximum(np.abs(gram).max(axis=-1), _modulus_deviation(np.abs(columns)))
 
 
-def _modulus_deviation(columns: np.ndarray) -> np.ndarray:
+def _modulus_deviation(moduli: np.ndarray) -> np.ndarray:
     """is_unitary_hadamard's entry-modulus defect, max ||entry| - d**-0.5|, of
-    each circulant given by its first column, one per row."""
-    return np.abs(np.abs(columns) - 1.0 / math.sqrt(columns.shape[-1])).max(axis=-1)
+    each row of d entry moduli: a circulant's first column or a row of a
+    dense matrix."""
+    return np.abs(moduli - 1.0 / math.sqrt(moduli.shape[-1])).max(axis=-1)
 
 
 def circulant_deviation(m) -> float:

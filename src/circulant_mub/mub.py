@@ -194,11 +194,12 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
             if skewed.any():
                 gram[skewed] += np.fft.ifft(excess[r] * excess[others][skewed], axis=-1)
                 cross[skewed] = 0.0
-            table[i, circulants] = np.maximum(np.abs(gram).max(axis=-1) + cross, _modulus_deviation(columns))
+            table[i, circulants] = np.maximum(np.abs(gram).max(axis=-1) + cross, _modulus_deviation(np.abs(columns)))
         elif circulants:
             # F* C = diag(s) F*: entry moduli |s| d**-0.5, Gram C* C of spectrum |s|**2
             gram = np.abs(grams[others]).max(axis=-1)
-            table[i, circulants] = np.maximum(own[i], np.maximum(gram, _modulus_deviation(spectra[others] / root_d)))
+            moduli = np.abs(spectra[others] / root_d)
+            table[i, circulants] = np.maximum(own[i], np.maximum(gram, _modulus_deviation(moduli)))
         fourier = [j for j in later if own[j] is not None] if i in row else []
         if fourier:
             # C* F = F diag(conj(s)): entry moduli |s| d**-0.5, Gram diag(|s|**2)
@@ -242,7 +243,7 @@ def negative_check_even(d: int, tol: float | None = None) -> EvenSquareCheck:
     unitary = is_unitary(square, tol)
     circulant_dev = circulant_deviation(square)
     # is_unitary_hadamard's deviation, from the one Gram product is_unitary made
-    hadamard_dev = max(unitary.deviation, float(np.abs(moduli - 1.0 / math.sqrt(d)).max()))
+    hadamard_dev = max(unitary.deviation, float(_modulus_deviation(moduli).max()))
     hadamard = CheckResult(hadamard_dev <= tol, hadamard_dev)
     return EvenSquareCheck(
         passed=unitary.passed and circulant_dev <= tol and not hadamard.passed,
@@ -280,12 +281,11 @@ def _identity_rows(d: int):
         shift_2, r_d2 = shift @ shift, power(rotation, d - 2).entries
         r_d1 = r_d2 @ rotation
         yield "rotation-order", {}, r_d1 @ rotation, alpha**d * np.eye(d)
-        # each row's powers are made as it is reached, so few d x d arrays are alive;
-        # for d = 3, d - 2 = 1 and d - 1 = 2: the later keys keep R and R**2 themselves
-        chain = {d - 1: lambda: (r_d1, shift.conj().T), d - 2: lambda: (r_d2, shift_2.conj().T)}
-        chain.update({2: lambda: (rotation @ rotation, shift_2), 1: lambda: (rotation, shift)})
-        for k, powers in sorted(chain.items()):
-            r_k, shift_k = powers()
+        for k in sorted({1, 2, d - 2, d - 1}):
+            if k <= 2:  # tested first, so d = 3 takes R and R**2 themselves
+                r_k, shift_k = (rotation, shift) if k == 1 else (rotation @ rotation, shift_2)
+            else:
+                r_k, shift_k = (r_d1, shift.conj().T) if k == d - 1 else (r_d2, shift_2.conj().T)
             yield "rotation-power-clock", {"k": k}, r_k @ clock @ r_k.conj().T, shift_k @ clock
             rhs = alpha**k * (fourier_adj.entries @ r_k.conj().T @ f2)
             yield "phased-fourier-identity", {"k": k}, build_phased_fourier(d, k).entries, rhs
