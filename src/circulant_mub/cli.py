@@ -20,7 +20,8 @@ the pair tables alike, and passed is None on an informational record (gauss
 identity probes each --l not coprime with d this way).  A family's pair
 verdicts stay one pair table (its UnbiasednessReport) while the checks run;
 every renderer reads the records through _records, which expands each table
-one pair-unbiased record at a time.  _run times each check
+one pair-unbiased record at a time from _pair_rows, the json writer's one
+source of a table's pairs too.  _run times each check
 in turn and sorts records and tables by (check, case), so reports are
 deterministic.  main() then puts the report together once, as one plain
 mub-report/1 dict (config, records, summary and,
@@ -139,27 +140,30 @@ def case_text(record: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in record["case"].items())
 
 
-def _pair_order(table) -> tuple[list[str], list[int]]:
-    """The pair texts (A|B) of a pair table, and the indices that put them in
-    order; the sort is stable, so equal texts keep family order."""
-    labels = [f"{label_a}|{label_b}" for label_a, label_b in table.pairs]
-    return labels, sorted(range(len(labels)), key=labels.__getitem__)
+def _pair_rows(record: dict):
+    """The fields of the _bounded record a pair table's pairs share (its
+    passed, deviation and case's pair are theirs), and a generator of each
+    pair's (text A|B, passed, deviation) in text order; the sort is stable,
+    so equal texts keep family order."""
+    table, tolerance = record["table"], record["tolerance"]
+    shared = _bounded(record["check"], record["case"], 0.0, tolerance)
+    shared["elapsed_s"] = record["elapsed_s"]
+    texts = [f"{label_a}|{label_b}" for label_a, label_b in table.pairs]
+    passes, deviations = _within(table.deviations, tolerance).tolist(), table.deviations.tolist()
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    return shared, ((texts[i], passes[i], deviations[i]) for i in order)
 
 
 def _records(records: list[dict]):
-    """Each record in turn, with every pair table expanded, in pair-label order,
+    """Each record in turn, with every pair table expanded, in pair-text order,
     into the pair-unbiased records _bounded makes, stamped with its elapsed_s."""
     for record in records:
         if "table" not in record:
             yield record
             continue
-        labels, order = _pair_order(record["table"])
-        deviations = record["table"].deviations.tolist()
-        for index in order:
-            case = {**record["case"], "pair": labels[index]}
-            expanded = _bounded(record["check"], case, deviations[index], record["tolerance"])
-            expanded["elapsed_s"] = record["elapsed_s"]
-            yield expanded
+        shared, rows = _pair_rows(record)
+        for text, passed, deviation in rows:
+            yield {**shared, "case": {**record["case"], "pair": text}, "passed": passed, "deviation": deviation}
 
 
 def _summary(records: list[dict]) -> dict:
@@ -645,19 +649,13 @@ def _record_texts(records: list[dict], level: int):
             check, _, passed, *texts = record.values()  # then deviation, tolerance, detail and elapsed_s
             yield template % (_json_text(check), case_text(fields), _LITERALS[passed], *map(_json_text, texts))
             continue
-        # the fields its pairs share, from _bounded; a table's check and case
-        # ({"d": d}) hold no %, so only the three %s left open are read
-        table = record["table"]
-        shared = _bounded(record["check"], record["case"], 0.0, record["tolerance"])
-        shared["elapsed_s"] = record["elapsed_s"]
+        # a table's check and case ({"d": d}) hold no %, so only the three %s
+        # left open are read
+        shared, rows = _pair_rows(record)
         check, _, _, _, *texts = shared.values()  # then tolerance, detail and elapsed_s
         filled = template % (_json_text(check), case_text([*fields, '"pair": %s']), "%s", "%s", *map(_json_text, texts))
-        labels, order = _pair_order(table)
-        deviations = table.deviations.tolist()
-        passes = _within(table.deviations, record["tolerance"]).tolist()
-        for index in order:
-            pair_text = encode_basestring_ascii(labels[index])
-            yield filled % (pair_text, _LITERALS[passes[index]], _json_text(deviations[index]))
+        for text, passed, deviation in rows:
+            yield filled % (encode_basestring_ascii(text), _LITERALS[passed], _json_text(deviation))
 
 
 def _write_json(value, write, level: int = 0) -> None:

@@ -298,16 +298,6 @@ def is_unitary_hadamard(m, tol: float | None = None) -> CheckResult:
     return CheckResult(deviation <= tol, deviation)
 
 
-def _circulant_hadamard_deviation(columns: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """is_unitary_hadamard's deviation for circulants given by their first
-    columns and spectra, one per row, without densifying them: C* C is the
-    circulant of spectrum |s|**2, and its first column holds every entry of
-    C* C - I."""
-    gram = np.fft.ifft(np.abs(spectra) ** 2, axis=-1)
-    gram[..., 0] -= 1.0
-    return np.maximum(np.abs(gram).max(axis=-1), _modulus_deviation(np.abs(columns)))
-
-
 def _modulus_deviation(moduli: np.ndarray) -> np.ndarray:
     """is_unitary_hadamard's entry-modulus defect, max ||entry| - d**-0.5|, of
     each row of d entry moduli: a circulant's first column or a row of a

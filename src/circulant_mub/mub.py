@@ -18,24 +18,22 @@ identity, Y = circ((1, i) / sqrt(2)) at d = 2 and every R**k.  F is dense,
 and of the type only build_fourier returns.  The verifier never trusts the
 construction: for each pair it measures the two defects of
 is_unitary_hadamard on A* B, the worst entry of |Gram - I| and of ||entry| -
-d**-0.5|.  For two circulants A* B is the circulant of spectrum conj(s_a)
-s_b, so its entry moduli are read off its first column in O(d log d).  Its
-Gram - I has first column g_a + g_b + ifft(u_a u_b), with u = |s|**2 - 1 and
-g = ifft(u) transformed once per member; the last term is bounded entrywise
-by w_a w_b, w = max |u|, which is added instead (below 5.6e-24 for a built
-family), unless it exceeds 1e-18, when that term is transformed too.  F
-diagonalises every circulant, F* C = diag(s) F* for C of spectrum s, so a
-pair of F with a circulant is read from s as well, plus F's own defect,
-measured once: such a record measures C's spectrum, not the floating-point
-product F* C, and the fourier-diagonalizes-shift identity of
-structural_identities is what ties F to the DFT.  A shipped family thus
-needs no dense product; any other pair with a dense member is multiplied
-densely and checked by is_unitary_hadamard itself.  The report holds the
-pairs' labels and one read-only array of their deviations, in family order.
+d**-0.5|.  _circulant_rows is the one rule for two circulants, read from
+their spectra in O(d log d) (its docstring states it); _member_terms makes
+what it reads, once per member.  F diagonalises every circulant, F* C =
+diag(s) F* for C of spectrum s, so a pair of F with a circulant is read from
+s as well, plus F's own defect, measured once: such a record measures C's
+spectrum, not the floating-point product F* C, and the
+fourier-diagonalizes-shift identity of structural_identities is what ties F
+to the DFT.  A shipped family thus needs no dense product; any other pair
+with a dense member is multiplied densely and checked by is_unitary_hadamard
+itself.  The report holds the pairs' labels and one read-only array of their
+deviations, in family order.
 
 structural_identities measures the matrix identities the construction rests
 on, coprime_power_mismatches the rule that R**k is unitary Hadamard exactly
-when gcd(k, d) = 1, and negative_check_even why even families stop at three.
+when gcd(k, d) = 1, read as _circulant_rows' row of the pairs I|R**k, and
+negative_check_even why even families stop at three.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from .linalg import (
     DenseUnitary,
     FourierMatrix,
     _check_tolerance,
-    _circulant_hadamard_deviation,
     _freeze,
     _modulus_deviation,
     _tolerance,
@@ -77,8 +74,8 @@ from .linalg import (
 from .phase_ring import _check_dimension, root_table
 
 
-# the largest w_a w_b that verify_family adds to a circulant pair's Gram value as
-# a bound on its cross term; a built family's pairs stay below 5.6e-24 for
+# the largest w_a w_b that _circulant_rows adds to a circulant pair's Gram value
+# as a bound on its cross term; a built family's pairs stay below 5.6e-24 for
 # every d <= 509, so only a skewed member's cross term is transformed
 _CROSS_TERM_LIMIT = 1e-18
 
@@ -140,6 +137,36 @@ def build_family(d: int) -> MubFamily:
     return MubFamily(dimension=int(d), bases=bases, recipe=recipe)
 
 
+def _member_terms(spectra: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per circulant, one row each: its spectrum s, u = |s|**2 - 1, g = ifft(u)
+    (the first column of C* C - I) and w = max |u|, one batch for all rows."""
+    excess = np.abs(spectra) ** 2 - 1.0
+    return spectra, excess, np.fft.ifft(excess, axis=-1), np.abs(excess).max(axis=-1)
+
+
+def _circulant_rows(terms: tuple[np.ndarray, ...]):
+    """For each row r of _member_terms in turn, is_unitary_hadamard's
+    deviation of A* B, A of row r, against every later row B.  A* B is the
+    circulant of spectrum conj(s_a) s_b: its entry moduli are read off its
+    first column, and its Gram - I has first column g_a + g_b + ifft(u_a u_b),
+    whose last term is at most w_a w_b entrywise.  So the Gram value is
+    max |g_a + g_b| + w_a w_b, an upper bound, unless w_a w_b exceeds
+    _CROSS_TERM_LIMIT (a skewed member, never a built family), where
+    ifft(u_a u_b) is transformed.  A generator, so a row's work arrays live
+    until the next row's exist; freed at each return, they went back to the
+    OS and faulted in again, a third slower at d = 251."""
+    spectra, excess, grams, bounds = terms
+    for r in range(len(spectra)):
+        later = slice(r + 1, None)
+        columns = np.fft.ifft(np.conj(spectra[r]) * spectra[later], axis=-1)
+        gram, cross = grams[r] + grams[later], bounds[r] * bounds[later]
+        skewed = cross > _CROSS_TERM_LIMIT
+        if skewed.any():
+            gram[skewed] += np.fft.ifft(excess[r] * excess[later][skewed], axis=-1)
+            cross[skewed] = 0.0
+        yield np.maximum(np.abs(gram).max(axis=-1) + cross, _modulus_deviation(np.abs(columns)))
+
+
 def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessReport:
     """Measure unbiasedness of every pair of bases in the family.
 
@@ -147,66 +174,43 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
     family order, (I, F), (I, R), ..., and its read-only float64 deviations
     one deviation per pair; it passed when every deviation is within tol.
 
-    For each unordered pair (A, B) the deviation is is_unitary_hadamard's on
-    A* B: the worse of max |Gram - I| and max ||entry| - d**-0.5|.  Two
-    circulants: one row of pairs at a time.  The entry moduli are read off the
-    first column ifft(conj(s_a) s_b) of A* B.  Its Gram is the circulant of
-    spectrum |s_a|**2 |s_b|**2, so with u = |s|**2 - 1 and g = ifft(u) per
-    member (one batch per family) the first column of Gram - I is g_a + g_b +
-    ifft(u_a u_b).  Each entry of that last term is at most w_a w_b, w =
-    max |u|, so the Gram value is max |g_a + g_b| + w_a w_b, an upper bound;
-    where w_a w_b exceeds _CROSS_TERM_LIMIT (a skewed member, never a built
-    family) ifft(u_a u_b) is transformed instead.  The F of build_fourier (a
-    FourierMatrix, never a member picked by its label) and a circulant C of
-    spectrum s: F* C = diag(s) F* and C* F = F diag(conj(s)) both have entry
-    moduli |s| d**-0.5, and Grams C* C and diag(|s|**2), so the pair is read
-    from s, g and w and maxed with F's own is_unitary_hadamard defect,
-    measured once.  Such a record measures C's spectrum plus F's own defect,
-    not the floating-point product F* C; the fourier-diagonalizes-shift
-    identity is what ties F to the DFT.  Any other pair with a dense member:
-    is_unitary_hadamard on the dense product.  Pairs against the identity
-    therefore re-check that each other member is itself unitary Hadamard (I|F
-    is F's own defect).
+    Each deviation is is_unitary_hadamard's on A* B: the worse of max |Gram -
+    I| and max ||entry| - d**-0.5|.  Two circulants: _circulant_rows.  The F of
+    build_fourier (a FourierMatrix, never a member picked by its label) and a
+    circulant C of spectrum s: F* C = diag(s) F* and C* F = F diag(conj(s))
+    have entry moduli |s| d**-0.5, whose defect is measured once per C, and
+    Grams C* C and diag(|s|**2), of defects max |g| and w; each pair is the
+    worst of those two defects and F's own, measured once.  Such a record
+    measures C's spectrum, not the floating-point product F* C; the
+    fourier-diagonalizes-shift identity ties F to the DFT.  Any other pair
+    with a dense member: is_unitary_hadamard on the dense product.  Pairs
+    against the identity therefore re-check that each other member is itself
+    unitary Hadamard (I|F is F's own defect).
     """
     d = family.dimension
     tol = _tolerance(d, tol)
-    root_d = math.sqrt(d)
     members = [basis for _, basis in family.bases]
     n = len(members)
-    # row of each circulant member in the spectral arrays
-    row = {i: r for r, i in enumerate(i for i, b in enumerate(members) if isinstance(b, CirculantMatrix))}
-    spectra = np.array([diagonalize_circulant(members[i]) for i in row], dtype=np.complex128).reshape(len(row), d)
-    excess = np.abs(spectra) ** 2 - 1.0  # u
-    grams = np.fft.ifft(excess, axis=-1)  # g, the first column of C* C - I
-    bounds = np.abs(excess).max(axis=-1)  # w
-    own = [is_unitary_hadamard(b, tol).deviation if isinstance(b, FourierMatrix) else None for b in members]
+    circulant = np.array([isinstance(b, CirculantMatrix) for b in members], dtype=bool)
+    fourier = np.array([isinstance(b, FourierMatrix) for b in members], dtype=bool)
+    index = np.flatnonzero(circulant)
+    spectra = np.array([diagonalize_circulant(members[i]) for i in index], dtype=np.complex128).reshape(len(index), d)
+    terms = _member_terms(spectra)
+    _, _, grams, bounds = terms
     table = np.zeros((n, n))  # pair (i, j), i < j, in the upper triangle
+    for r, row in enumerate(_circulant_rows(terms)):
+        table[index[r], index[r + 1 :]] = row
+    moduli = _modulus_deviation(np.abs(spectra / math.sqrt(d)))
+    gram = np.maximum(np.abs(grams).max(axis=-1), moduli)  # F|C: Gram C* C
+    diagonal = np.maximum(bounds, moduli)  # C|F: Gram diag(|s|**2)
+    for f in np.flatnonzero(fourier):
+        own = is_unitary_hadamard(members[f], tol).deviation
+        # both orders are filled; the upper triangle keeps the one in family order
+        table[f, index], table[index, f] = np.maximum(own, gram), np.maximum(own, diagonal)
+    # the pairs the two blocks filled; every other pair is dense
+    spectral = np.outer(circulant, circulant | fourier) | np.outer(fourier, circulant)
     for i, a in enumerate(members):
-        later = range(i + 1, n)
-        circulants = [j for j in later if j in row] if i in row or own[i] is not None else []
-        others = slice(len(row) - len(circulants), None)  # their spectral rows, the last ones
-        if circulants and i in row:
-            # A* B is the circulant of spectrum conj(s_a) s_b: the whole row at once
-            r = row[i]
-            columns = np.fft.ifft(np.conj(spectra[r]) * spectra[others], axis=-1)
-            gram, cross = grams[r] + grams[others], bounds[r] * bounds[others]
-            skewed = cross > _CROSS_TERM_LIMIT
-            if skewed.any():
-                gram[skewed] += np.fft.ifft(excess[r] * excess[others][skewed], axis=-1)
-                cross[skewed] = 0.0
-            table[i, circulants] = np.maximum(np.abs(gram).max(axis=-1) + cross, _modulus_deviation(np.abs(columns)))
-        elif circulants:
-            # F* C = diag(s) F*: entry moduli |s| d**-0.5, Gram C* C of spectrum |s|**2
-            gram = np.abs(grams[others]).max(axis=-1)
-            moduli = np.abs(spectra[others] / root_d)
-            table[i, circulants] = np.maximum(own[i], np.maximum(gram, _modulus_deviation(moduli)))
-        fourier = [j for j in later if own[j] is not None] if i in row else []
-        if fourier:
-            # C* F = F diag(conj(s)): entry moduli |s| d**-0.5, Gram diag(|s|**2)
-            defect = max(bounds[row[i]], float(np.abs(np.abs(spectra[row[i]]) - 1.0).max()) / root_d)
-            table[i, fourier] = np.maximum([own[j] for j in fourier], defect)
-        spectral = {*circulants, *fourier}
-        dense = [j for j in later if j not in spectral]
+        dense = [j for j in range(i + 1, n) if not spectral[i, j]]
         if dense:
             a_adj = adjoint(a)  # once per row, and never for a row the spectra cover
             for j in dense:
@@ -307,12 +311,13 @@ def structural_identities(d: int) -> list[tuple[str, dict, float]]:
 def coprime_power_mismatches(d: int, tol: float) -> list[int]:
     """The k in 1..d-1 at which "R**k is unitary Hadamard within tol"
     disagrees with gcd(k, d) = 1, which the paper's rule leaves empty for
-    odd d.  R**k is the circulant of spectrum s**k, s the spectrum of R, so
-    every power is measured from one batch of spectra, never densely.  Row
-    k - 1 is the cumulative product s * ... * s of the built spectrum, so it
-    measures the built R, not exact exponents."""
+    odd d.  R**k is unitary Hadamard exactly when the pair I|R**k is
+    unbiased, so the deviations are _circulant_rows' row of I (spectrum all
+    ones) against the spectra of the powers, never dense.  Row k is the
+    cumulative product s * ... * s of the built spectrum s, so it measures
+    the built R, not exact exponents."""
     _check_tolerance(tol)
     spectrum = diagonalize_circulant(build_rotation(d))  # the builder guards d first
-    spectra = np.cumprod(np.broadcast_to(spectrum, (d - 1, d)), axis=0)
-    deviations = _circulant_hadamard_deviation(np.fft.ifft(spectra, axis=-1), spectra)
+    powers = np.cumprod(np.broadcast_to(spectrum, (d - 1, d)), axis=0)
+    deviations = next(_circulant_rows(_member_terms(np.vstack([np.ones(d), powers]))))
     return [k for k, dev in zip(range(1, d), deviations.tolist()) if (dev <= tol) != (math.gcd(k, d) == 1)]

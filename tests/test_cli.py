@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -1011,6 +1012,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "summary:" in proc.stdout
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_cli_by_sigpipe_not_as_an_internal_error():
+    # as `| head -n 1` does: the report is far larger than a pipe's buffer, so
+    # the writer meets the closed pipe and the default SIGPIPE action ends it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "circulant_mub", "verify", "--dims", "61..70", "--format", "json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == -signal.SIGPIPE
+    assert stderr == b""
 
 
 def test_cli_imports_only_public_library_names_and_traced_layers_resolve(monkeypatch):

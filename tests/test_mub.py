@@ -25,7 +25,7 @@ from circulant_mub import (
 from circulant_mub import mub
 from circulant_mub.linalg import (
     FourierMatrix,
-    _circulant_hadamard_deviation,
+    _modulus_deviation,
     as_matrix,
     build_clock,
     build_index_reversal,
@@ -378,12 +378,16 @@ def test_identity_power_chain_matches_square_and_multiply(d):
 def power_hadamard_deviations(d):
     """The per-power loop coprime_power_mismatches replaced: each R**k built
     as a circulant power and measured from its own first column and
-    spectrum, for k = 1..d-1."""
+    spectrum, for k = 1..d-1, by is_unitary_hadamard's deviation as the
+    former linalg helper wrote it: R**k* R**k is the circulant of spectrum
+    |s|**2, whose first column minus e_0 holds every entry of its Gram - I."""
     rotation = build_rotation(d)
     deviations = []
     for k in range(1, d):
         r_k = circulant_power(rotation, k)
-        deviations.append(_circulant_hadamard_deviation(r_k.first_column, diagonalize_circulant(r_k)))
+        gram = np.fft.ifft(np.abs(diagonalize_circulant(r_k)) ** 2)
+        gram[0] -= 1.0
+        deviations.append(float(np.maximum(np.abs(gram).max(), _modulus_deviation(np.abs(r_k.first_column)))))
     return deviations
 
 
@@ -396,3 +400,50 @@ def test_coprime_power_mismatches_match_the_per_power_loop():
             assert coprime_power_mismatches(d, tol) == wrong, (d, base)
     # below the rounding of the powers the rule fails, and the list says where
     assert coprime_power_mismatches(81, default_tolerance(81, 1e-16)) != []
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_member_fails_every_pair_it_is_in(bad):
+    # one family holds every pair kind: C|C, C|F, F|C and dense; Python's
+    # max(x, nan) is x, so a rule that took it would pass a NaN member
+    d = 7
+    r = build_rotation(d)
+    spoiled = np.array(r.first_column)
+    spoiled[0] = bad
+    dense = as_matrix(r).copy()
+    dense[3, 2] = bad
+    family = MubFamily(
+        d,
+        (
+            ("C", CirculantMatrix(d, spoiled)),
+            ("F", build_fourier(d)),
+            ("R", r),
+            ("C'", circulant_power(CirculantMatrix(d, spoiled), 2)),
+            ("D", DenseUnitary(d, dense)),
+        ),
+        Recipe.PRIME,
+    )
+    report = verify_family(family)
+    assert not report.passed
+    for (label_a, label_b), deviation in zip(report.pairs, report.deviations.tolist()):
+        if {label_a, label_b} & {"C", "C'", "D"}:
+            assert not math.isfinite(deviation), (label_a, label_b, deviation)
+            assert not deviation <= default_tolerance(d), (label_a, label_b)
+        else:
+            assert deviation <= default_tolerance(d), (label_a, label_b)
+    assert len(report.pairs) == 10
+
+
+def test_coprime_power_mismatches_match_the_dense_check():
+    # an oracle that shares no FFT path with the rule: each power densified
+    # and checked by is_unitary_hadamard itself
+    for d in [d for d in range(9, 100, 2) if not is_prime(d)]:
+        rotation, tols = build_rotation(d), [default_tolerance(d, base) for base in (1e-9, 1e-6)]
+        wrong = [[] for _ in tols]
+        for k in range(1, d):
+            power_k = circulant_power(rotation, k).to_dense()
+            for tol, found in zip(tols, wrong):
+                if is_unitary_hadamard(power_k, tol).passed != (math.gcd(k, d) == 1):
+                    found.append(k)
+        assert [coprime_power_mismatches(d, tol) for tol in tols] == wrong, d
