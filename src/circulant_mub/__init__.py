@@ -63,7 +63,6 @@ _EXPORTS = {
         "verify_even_gauss",
     ),
     "mub": (
-        "EvenSquareCheck",
         "MubFamily",
         "Recipe",
         "UnbiasednessReport",

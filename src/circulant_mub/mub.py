@@ -14,8 +14,9 @@ Families delivered here, by dimension class:
     d even >= 4     identity, Fourier, R
 
 Every member but F is a circulant stored by its first column: the
-identity, Y = circ((1, i) / sqrt(2)) at d = 2 and every R**k.  F is dense,
-and of the type only build_fourier returns.  The verifier never trusts the
+identity, Y = circ((1, i) / sqrt(2)) at d = 2 and every R**k, whose
+spectrum s**k, s = fft(R), _power_spectra forms.  F is dense, and of the
+type only build_fourier returns.  The verifier never trusts the
 construction: for each pair it measures the two defects of
 is_unitary_hadamard on A* B, the worst entry of |Gram - I| and of ||entry| -
 d**-0.5|.  _circulant_rows is the one rule for two circulants, read from
@@ -31,9 +32,10 @@ itself.  The report holds the pairs' labels and one read-only array of their
 deviations, in family order.
 
 structural_identities measures the matrix identities the construction rests
-on, coprime_power_mismatches the rule that R**k is unitary Hadamard exactly
-when gcd(k, d) = 1, read as _circulant_rows' row of the pairs I|R**k, and
-negative_check_even why even families stop at three.
+on, densely, as an oracle independent of the spectra; coprime_power_mismatches
+the rule that R**k is unitary Hadamard exactly when gcd(k, d) = 1, read as
+_circulant_rows' row of the pairs I|R**k; and negative_check_even why even
+families stop at three, R**2 being unitary but not Hadamard, read from s**2.
 """
 
 from __future__ import annotations
@@ -62,10 +64,7 @@ from .linalg import (
     build_rotation,
     build_shift,
     build_triangular_diagonal,
-    circulant_deviation,
-    circulant_multiply,
     diagonalize_circulant,
-    is_unitary,
     is_unitary_hadamard,
     multiply,
     power,
@@ -109,9 +108,10 @@ def build_family(d: int) -> MubFamily:
     """Construct the mutually unbiased family for dimension d.
 
     Every member but F is a circulant kept as its first column: the
-    identity, Y at d = 2 and the powers R**k for d >= 3.  Nothing is checked
-    here: verify_family's pairs with the identity measure each other
-    member's unitarity, and every other pair its unbiasedness.
+    identity, Y at d = 2 and the powers R**k for d >= 3, each past R the
+    inverse FFT of a row of _power_spectra.  Nothing is checked here:
+    verify_family's pairs with the identity measure each other member's
+    unitarity, and every other pair its unbiasedness.
     """
     _check_dimension(d, 2, what="mutually unbiased family dimension")
     if d == 2:
@@ -125,16 +125,19 @@ def build_family(d: int) -> MubFamily:
         count = divisor - 1
         recipe = Recipe.PRIME if divisor == d else Recipe.ODD_COMPOSITE
         rotation = build_rotation(d)
-        others = []
-        current = rotation
-        for k in range(1, count + 1):
-            others.append(("R" if k == 1 else f"R^{k}", current))
-            if k < count:
-                current = circulant_multiply(current, rotation)
+        powers = _freeze(np.fft.ifft(_power_spectra(rotation, count)[1:], axis=-1))  # R**2, ..., R**count
+        others = [("R", rotation), *((f"R^{k}", CirculantMatrix(d, column)) for k, column in enumerate(powers, 2))]
     column = np.zeros(d, dtype=np.complex128)
     column[0] = 1.0
     bases = (("I", CirculantMatrix(d, _freeze(column))), ("F", build_fourier(d)), *others)
     return MubFamily(dimension=int(d), bases=bases, recipe=recipe)
+
+
+def _power_spectra(rotation: CirculantMatrix, count: int) -> np.ndarray:
+    """Rows s, s**2, ..., s**count, s the spectrum of rotation, as one
+    cumulative product: the one place any power of R is formed."""
+    spectrum = diagonalize_circulant(rotation)
+    return np.cumprod(np.broadcast_to(spectrum, (count, spectrum.size)), axis=0)
 
 
 def _member_terms(spectra: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -222,41 +225,17 @@ def verify_family(family: MubFamily, tol: float | None = None) -> UnbiasednessRe
     return UnbiasednessReport(pairs=pairs, deviations=values, passed=bool((values <= tol).all()))
 
 
-@dataclass(frozen=True)
-class EvenSquareCheck:
-    """Expected-failure probe: in even dimensions the rotation square stays
-    unitary and circulant yet is not a Hadamard matrix, which is exactly
-    why the even family stops at three bases.  passed: the square is unitary
-    and circulant within the tolerance, and not unitary Hadamard."""
-
-    passed: bool
-    unitary: CheckResult
-    circulant_dev: float
-    hadamard: CheckResult
-    modulus_min: float
-    modulus_max: float
-
-
-def negative_check_even(d: int, tol: float | None = None) -> EvenSquareCheck:
-    """Square the even-dimension rotation densely and document the defect."""
+def negative_check_even(d: int, tol: float | None = None) -> CheckResult:
+    """Expected failure: R**2 is unitary but not Hadamard, so even families
+    stop at three.  The deviation is is_unitary_hadamard's of R**2, from its
+    spectrum s**2: the Gram defect max |g| (_member_terms) and the modulus
+    defect of ifft(s**2); passed when only the Gram defect is within tol."""
     _check_dimension(d, 4, "even", "rotation-square probe dimension")
     tol = _tolerance(d, tol)
-    dense = build_rotation(d).to_dense()
-    square = dense @ dense
-    moduli = np.abs(square)
-    unitary = is_unitary(square, tol)
-    circulant_dev = circulant_deviation(square)
-    # is_unitary_hadamard's deviation, from the one Gram product is_unitary made
-    hadamard_dev = max(unitary.deviation, float(_modulus_deviation(moduli).max()))
-    hadamard = CheckResult(hadamard_dev <= tol, hadamard_dev)
-    return EvenSquareCheck(
-        passed=unitary.passed and circulant_dev <= tol and not hadamard.passed,
-        unitary=unitary,
-        circulant_dev=circulant_dev,
-        hadamard=hadamard,
-        modulus_min=float(moduli.min()),
-        modulus_max=float(moduli.max()),
-    )
+    square = _power_spectra(build_rotation(d), 2)[1:]
+    gram = float(np.abs(_member_terms(square)[2]).max())
+    modulus = float(_modulus_deviation(np.abs(np.fft.ifft(square[0]))))
+    return CheckResult(gram <= tol < modulus, max(gram, modulus))
 
 
 def _identity_rows(d: int):
@@ -313,11 +292,10 @@ def coprime_power_mismatches(d: int, tol: float) -> list[int]:
     disagrees with gcd(k, d) = 1, which the paper's rule leaves empty for
     odd d.  R**k is unitary Hadamard exactly when the pair I|R**k is
     unbiased, so the deviations are _circulant_rows' row of I (spectrum all
-    ones) against the spectra of the powers, never dense.  Row k is the
-    cumulative product s * ... * s of the built spectrum s, so it measures
-    the built R, not exact exponents."""
+    ones) against the rows of _power_spectra, never dense: the spectra
+    build_family's members are transformed from, so it measures the built
+    R, not exact exponents."""
     _check_tolerance(tol)
-    spectrum = diagonalize_circulant(build_rotation(d))  # the builder guards d first
-    powers = np.cumprod(np.broadcast_to(spectrum, (d - 1, d)), axis=0)
+    powers = _power_spectra(build_rotation(d), d - 1)  # the builder guards d first
     deviations = next(_circulant_rows(_member_terms(np.vstack([np.ones(d), powers]))))
     return [k for k, dev in zip(range(1, d), deviations.tolist()) if (dev <= tol) != (math.gcd(k, d) == 1)]

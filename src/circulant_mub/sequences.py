@@ -142,15 +142,15 @@ def exhaustive_biunimodular(
 def canonical_form(c) -> tuple:
     """Hashable representative of the orbit of c under cyclic shifts and a
     global phase: normalize each shift by its leading entry, round to 9
-    decimals, and take the lexicographically least tuple of (re, im) pairs
-    (the first least, in shift order)."""
+    decimals (a negative zero made positive), and take the lexicographically
+    least tuple of (re, im) pairs (the first least, in shift order)."""
     c = as_sequence(c)
     if np.abs(c).min() < 1e-12:
         raise ValueError("canonical form needs nonvanishing entries")
     idx = np.arange(c.size)
     shifts = c[(idx[:, None] + idx[None, :]) % c.size]  # row r: c rolled by -r
     shifts = shifts / shifts[:, :1]
-    pairs = np.stack((np.round(shifts.real, 9), np.round(shifts.imag, 9)), axis=-1)
+    pairs = np.stack((np.round(shifts.real, 9), np.round(shifts.imag, 9)), axis=-1) + 0.0  # -0.0 becomes 0.0
     return min(tuple(map(tuple, key)) for key in pairs.tolist())
 
 

@@ -526,6 +526,7 @@ def test_search_orbits_match_exact_exponent_canonicalization():
             assert sum(len(members) for _, members in orbits) == len(hits)
             for key, members in orbits:
                 assert all(canonical_form(member) == key for member in members)
+                assert not any(x == 0 and math.copysign(1.0, x) < 0 for z in key for x in z), (d, m)
                 exps = alphabet_exponents(key, m)
                 assert max(abs(complex(*z) - roots[e]) for z, e in zip(key, exps)) <= 1e-6
 

@@ -12,6 +12,8 @@ from circulant_mub import (
     build_family,
     build_fourier,
     build_rotation,
+    circulant_deviation,
+    circulant_multiply,
     circulant_power,
     default_tolerance,
     diagonalize_circulant,
@@ -20,6 +22,7 @@ from circulant_mub import (
     is_unitary_hadamard,
     multiply,
     negative_check_even,
+    smallest_nontrivial_divisor,
     verify_family,
 )
 from circulant_mub import mub
@@ -147,15 +150,20 @@ def test_tolerance_must_be_positive_and_finite(tol):
 
 @pytest.mark.parametrize("d", [4, 6, 8, 10, 14, 16])
 def test_even_rotation_square_defect(d):
+    # the probe reads R**2 from its spectrum; the oracle squares R densely
+    dense = build_rotation(d).to_dense()
+    square = dense @ dense
+    assert is_unitary(square).passed
+    assert circulant_deviation(square) < 1e-12
+    # half the entries vanish, the rest carry modulus sqrt(2/d)
+    moduli = np.sort(np.abs(square).ravel())
+    half = moduli.size // 2
+    assert moduli[:half].max() < 1e-12
+    assert np.abs(moduli[half:] - math.sqrt(2 / d)).max() < 1e-12
     check = negative_check_even(d)
     assert negative_check_even(d, default_tolerance(d)) == check  # tol=None is default_tolerance(d)
     assert check.passed  # passed means the defect is present as expected
-    assert check.unitary.passed
-    assert check.circulant_dev < 1e-12
-    assert not check.hadamard.passed
-    # half the entries vanish, the rest carry modulus sqrt(2/d)
-    assert check.modulus_min == pytest.approx(0.0, abs=1e-12)
-    assert check.modulus_max == pytest.approx(math.sqrt(2 / d), abs=1e-12)
+    assert abs(check.deviation - is_unitary_hadamard(square).deviation) <= 1e-14
 
 
 def test_even_rotation_square_validation():
@@ -246,6 +254,18 @@ def test_structured_verifier_matches_dense_oracle_on_biased_families(monkeypatch
     bounded = verify_family(skewed).deviations[2]
     assert bounded - reports[-1].deviations[2] > 1e-14
     assert bounded >= _dense_oracle(skewed, default_tolerance(7))[2][3]
+
+
+def test_power_members_match_the_circulant_multiply_chain():
+    # R is build_rotation's, bit for bit; each later R**k is within the
+    # tolerance of k - 1 circulant products, the chain the members replaced
+    for d in range(3, 100, 2):
+        bases, rotation = dict(build_family(d).bases), build_rotation(d)
+        assert np.array_equal(bases["R"].first_column, rotation.first_column), d
+        chain, tol = rotation, default_tolerance(d)
+        for k in range(2, smallest_nontrivial_divisor(d)):
+            chain = circulant_multiply(chain, rotation)
+            assert np.abs(bases[f"R^{k}"].first_column - chain.first_column).max() <= tol, (d, k)
 
 
 def test_family_members_keep_their_structure():
@@ -400,6 +420,13 @@ def test_coprime_power_mismatches_match_the_per_power_loop():
             assert coprime_power_mismatches(d, tol) == wrong, (d, base)
     # below the rounding of the powers the rule fails, and the list says where
     assert coprime_power_mismatches(81, default_tolerance(81, 1e-16)) != []
+
+
+def test_coprime_power_rule_holds_for_even_dimensions():
+    # k = 2 is never coprime with an even d, so the rule contains the
+    # rotation-square probe
+    for d in range(4, 129, 2):
+        assert coprime_power_mismatches(d, default_tolerance(d)) == [], d
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

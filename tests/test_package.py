@@ -34,8 +34,7 @@ EXPORTS = {
         "smallest_nontrivial_divisor verify_even_gauss"
     ),
     "mub": (
-        "EvenSquareCheck MubFamily Recipe UnbiasednessReport build_family "
-        "negative_check_even verify_family"
+        "MubFamily Recipe UnbiasednessReport build_family negative_check_even verify_family"
     ),
 }
 

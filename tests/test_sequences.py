@@ -83,12 +83,13 @@ def gemm_oracle(d, m, tols):
 
 def canonical_oracle(values):
     """Least (re, im) key over the cyclic shifts, each divided by its first
-    entry and rounded to 9 decimals; the first least key wins a tie."""
+    entry and rounded to 9 decimals, a negative zero made positive; the
+    first least key wins a tie."""
     best = None
     for r in range(len(values)):
         w = np.roll(values, -r)
         w = w / w[0]
-        key = tuple((round(z.real, 9), round(z.imag, 9)) for z in w)
+        key = tuple((round(z.real, 9) + 0.0, round(z.imag, 9) + 0.0) for z in w)
         if best is None or key < best:
             best = key
     return best
